@@ -14,13 +14,13 @@
 #include "engine/lifecycle.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
-#include "engine/thread_pool.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/rss.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl::async {
 namespace {
@@ -430,7 +430,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
         (flushes % config_.eval_every == 0 || flushes == config_.rounds)) {
       AFL_PROF_SPAN("async.evaluate");
       Stopwatch eval_watch;
-      policy.evaluate(flushes, result);
+      policy.evaluate(flushes, result, pool);
       result.curve.push_back({flushes, result.final_full_acc,
                               result.final_avg_acc, result.comm.waste_rate(),
                               result.comm.round_waste_rate()});
@@ -660,7 +660,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
 
   telemetry.reset();
   if (result.curve.empty()) {
-    policy.evaluate(config_.rounds, result);
+    policy.evaluate(config_.rounds, result, pool);
     result.curve.push_back({config_.rounds, result.final_full_acc,
                             result.final_avg_acc, result.comm.waste_rate(),
                             result.comm.round_waste_rate()});

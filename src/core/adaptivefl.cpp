@@ -220,7 +220,7 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     selector_.tables().restore(dump);
   }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     const std::size_t heads[3] = {pool_.level_head_index(Level::kLarge),
                                   pool_.level_head_index(Level::kMedium),
                                   pool_.level_head_index(Level::kSmall)};
@@ -229,7 +229,7 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     for (std::size_t h : heads) {
       const PoolEntry& e = pool_.entry(h);
       const double acc = eval_params(spec_, e.plan, {}, pool_.split(global_, h),
-                                     data_.test, config_.eval_batch);
+                                     data_.test, config_.eval_batch, workers);
       result.level_acc[e.label()] = acc;
       sum += acc;
       if (e.level == Level::kLarge) full = acc;

@@ -92,9 +92,9 @@ class AllLargePolicy final : public CohortPolicy {
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     const double acc =
-        eval_params(spec_, full_plan_, {}, global_, data_.test, config_.eval_batch);
+        eval_params(spec_, full_plan_, {}, global_, data_.test, config_.eval_batch, workers);
     result.level_acc["L1"] = acc;
     result.final_full_acc = acc;
     result.final_avg_acc = acc;  // All-Large has no submodels; avg == full
@@ -186,12 +186,12 @@ class DecoupledPolicy final : public CohortPolicy {
     for (ParamSet& g : globals_) g = r.params();
   }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
     for (int l = 0; l < 3; ++l) {
       const PoolEntry& e = pool_.entry(heads_[l]);
       const double acc = eval_params(spec_, e.plan, {}, globals_[l], data_.test,
-                                     config_.eval_batch);
+                                     config_.eval_batch, workers);
       result.level_acc[e.label()] = acc;
       sum += acc;
       if (l == 0) result.final_full_acc = acc;
@@ -277,13 +277,13 @@ class HeteroFlPolicy final : public CohortPolicy {
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
     for (std::size_t l = 0; l < level_plans_.size(); ++l) {
       const double acc =
           eval_params(spec_, level_plans_[l], {},
                       prune_params(global_, spec_, level_plans_[l]), data_.test,
-                      config_.eval_batch);
+                      config_.eval_batch, workers);
       result.level_acc[level_labels_[l]] = acc;
       sum += acc;
       if (l == 0) result.final_full_acc = acc;

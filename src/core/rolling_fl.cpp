@@ -6,7 +6,6 @@
 
 #include "arch/stats.hpp"
 #include "engine/round_engine.hpp"
-#include "fl/evaluate.hpp"
 #include "prune/rolling.hpp"
 
 namespace afl {
@@ -89,14 +88,15 @@ class RollingFlPolicy final : public RoundPolicy {
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
-  void evaluate(std::size_t round, RunResult& result) override {
+  void evaluate(std::size_t round, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
     for (std::size_t l = 0; l < level_ratios_.size(); ++l) {
       // Evaluate the level submodels through the *current* round's window.
       const RollingPlan plan = make_rolling_plan(spec_, level_ratios_[l], round);
-      Model m = build_model(spec_, uniform_plan(spec_, level_ratios_[l]));
-      m.import_params(rolling_extract(global_, spec_, plan));
-      const double acc = afl::evaluate(m, data_.test, config_.eval_batch).accuracy;
+      const double acc =
+          eval_params(spec_, uniform_plan(spec_, level_ratios_[l]), {},
+                      rolling_extract(global_, spec_, plan), data_.test,
+                      config_.eval_batch, workers);
       char label[16];
       std::snprintf(label, sizeof(label), "%.2fx", level_ratios_[l]);
       result.level_acc[label] = acc;

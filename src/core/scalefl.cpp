@@ -103,7 +103,7 @@ class ScaleFlPolicy final : public RoundPolicy {
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
     for (std::size_t l = 0; l < levels_.size(); ++l) {
       const ScaleFlLevel& level = levels_[l];
@@ -113,7 +113,7 @@ class ScaleFlPolicy final : public RoundPolicy {
       const double acc = eval_params(
           spec_, level.plan, eval_options,
           prune_to_shapes(global_, model_shapes(spec_, level.plan, eval_options)),
-          data_.test, config_.eval_batch);
+          data_.test, config_.eval_batch, workers);
       result.level_acc[level.label] = acc;
       sum += acc;
       if (l == 0) result.final_full_acc = acc;

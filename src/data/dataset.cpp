@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace afl {
 
@@ -50,6 +51,10 @@ Batch Dataset::all() const {
 
 std::vector<std::vector<std::size_t>> Dataset::shuffled_batches(std::size_t batch_size,
                                                                 Rng& rng) const {
+  if (batch_size == 0) {
+    throw std::invalid_argument("Dataset::shuffled_batches: batch_size must be >= 1, got " +
+                                std::to_string(batch_size));
+  }
   std::vector<std::size_t> idx(size());
   std::iota(idx.begin(), idx.end(), 0);
   rng.shuffle(idx);

@@ -39,7 +39,8 @@ class Dataset {
   Batch all() const;
 
   /// Sample indices split into shuffled mini-batches of `batch_size`
-  /// (last batch may be smaller).
+  /// (last batch may be smaller). Throws std::invalid_argument when
+  /// batch_size is 0.
   std::vector<std::vector<std::size_t>> shuffled_batches(std::size_t batch_size,
                                                          Rng& rng) const;
 

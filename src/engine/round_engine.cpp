@@ -12,7 +12,6 @@
 #include "engine/plan.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
-#include "engine/thread_pool.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
@@ -20,6 +19,7 @@
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 
@@ -266,7 +266,7 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         (round % config_.eval_every == 0 || round == config_.rounds)) {
       AFL_PROF_SPAN("engine.evaluate");
       Stopwatch eval_watch;
-      policy.evaluate(round, result);
+      policy.evaluate(round, result, pool);
       result.curve.push_back({round, result.final_full_acc, result.final_avg_acc,
                               result.comm.waste_rate(),
                               result.comm.round_waste_rate()});
@@ -307,7 +307,7 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   }
 
   if (result.curve.empty()) {
-    policy.evaluate(config_.rounds, result);
+    policy.evaluate(config_.rounds, result, pool);
     result.curve.push_back({config_.rounds, result.final_full_acc,
                             result.final_avg_acc, result.comm.waste_rate(),
                             result.comm.round_waste_rate()});

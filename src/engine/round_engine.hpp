@@ -12,7 +12,8 @@
 //                      failure bookkeeping, on_* feedback hooks)
 //                  -> [parallel]              execute (thread pool)
 //                  -> [sequential, slot order] commit
-//                  -> aggregate -> end_round -> evaluate (when due)
+//                  -> aggregate -> end_round
+//                  -> evaluate (when due; chunks on the thread pool)
 //
 // Determinism contract: all policy hooks except execute() run on the engine
 // thread, strictly sequentially, in slot order. execute() runs on a worker
@@ -52,6 +53,7 @@
 #include "pop/population.hpp"
 #include "sim/device.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 
@@ -174,8 +176,10 @@ class RoundPolicy {
 
   /// Evaluates the global model: fills result.level_acc and
   /// result.final_full_acc / final_avg_acc. The engine appends the curve
-  /// point (with the comm-waste columns) afterwards.
-  virtual void evaluate(std::size_t round, RunResult& result) = 0;
+  /// point (with the comm-waste columns) afterwards. `workers` is the
+  /// engine's thread pool, idle at this point; each model's eval_batch chunks
+  /// run on it (eval_params), so the result is the same at any pool size.
+  virtual void evaluate(std::size_t round, RunResult& result, ThreadPool& workers) = 0;
 
   /// Engine snapshot/resume (docs/POPULATION.md): serializes the policy's
   /// own state (global model, RL tables, ...) beyond what the engine

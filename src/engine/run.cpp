@@ -150,10 +150,13 @@ RoundTelemetry::~RoundTelemetry() {
 
 double eval_params(const ArchSpec& spec, const WidthPlan& plan,
                    const BuildOptions& options, const ParamSet& params,
-                   const Dataset& test, std::size_t eval_batch) {
-  Model model = build_model(spec, plan, /*init_rng=*/nullptr, options);
-  model.import_params(params);
-  return evaluate(model, test, eval_batch).accuracy;
+                   const Dataset& test, std::size_t eval_batch, ThreadPool& workers) {
+  const auto make_model = [&] {
+    Model model = build_model(spec, plan, /*init_rng=*/nullptr, options);
+    model.import_params(params);
+    return model;
+  };
+  return evaluate(make_model, test, eval_batch, workers).accuracy;
 }
 
 std::vector<std::size_t> sample_clients(std::size_t num_clients, std::size_t k,

@@ -19,6 +19,7 @@
 #include "pop/config.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 
@@ -28,8 +29,12 @@ struct FlRunConfig {
   LocalTrainConfig local;              // paper: 5 epochs, batch 50, SGD .01/.5
   std::uint64_t seed = 1;
   std::size_t eval_every = 1;  // evaluate the global model every N rounds (0 = final only)
-  std::size_t eval_batch = 256;
-  /// Worker threads for intra-round client training (see docs/ENGINE.md).
+  /// Test samples per evaluation chunk; the chunks of each evaluated model
+  /// spread over the engine's thread pool (docs/ENGINE.md). Small chunks keep
+  /// each conv layer's im2col matrix cache-resident.
+  std::size_t eval_batch = 16;
+  /// Worker threads for client training and evaluation chunks (see
+  /// docs/ENGINE.md).
   /// 0 = resolve from the AFL_THREADS environment variable (default 1). The
   /// RunResult curve is bit-identical for every thread count.
   std::size_t threads = 0;
@@ -196,10 +201,11 @@ class RoundTelemetry {
   bool has_sim_ = false;
 };
 
-/// Evaluates a parameter set by materializing its model.
+/// Evaluates a parameter set by materializing its model, once per
+/// eval_batch chunk of `test`, on `workers` (see fl/evaluate.hpp).
 double eval_params(const ArchSpec& spec, const WidthPlan& plan,
                    const BuildOptions& options, const ParamSet& params,
-                   const Dataset& test, std::size_t eval_batch);
+                   const Dataset& test, std::size_t eval_batch, ThreadPool& workers);
 
 /// K distinct client indices drawn uniformly at random.
 std::vector<std::size_t> sample_clients(std::size_t num_clients, std::size_t k,

@@ -1,6 +1,10 @@
 #include "fl/evaluate.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/loss.hpp"
 #include "obs/timer.hpp"
@@ -8,24 +12,38 @@
 
 namespace afl {
 
-EvalResult evaluate(Model& model, const Dataset& data, std::size_t batch_size) {
+EvalResult evaluate(const std::function<Model()>& make_model, const Dataset& data,
+                    std::size_t batch_size, ThreadPool& pool) {
+  if (batch_size == 0) {
+    throw std::invalid_argument("evaluate: batch_size must be >= 1, got " +
+                                std::to_string(batch_size));
+  }
   static obs::Histogram& hist = obs::metrics().histogram("afl.fl.evaluate.seconds");
   obs::ScopedTimer timer(hist);
   obs::TraceSpan span("evaluate");
   EvalResult res;
   if (data.empty()) return res;
-  std::size_t correct = 0;
-  double loss_sum = 0.0;
-  std::vector<std::size_t> idx(batch_size);
-  for (std::size_t start = 0; start < data.size(); start += batch_size) {
-    const std::size_t end = std::min(start + batch_size, data.size());
-    idx.resize(end - start);
+  struct Tally {
+    std::size_t correct = 0;
+    double loss_sum = 0.0;
+  };
+  std::vector<Tally> tallies((data.size() + batch_size - 1) / batch_size);
+  pool.parallel_for(tallies.size(), [&](std::size_t chunk) {
+    const std::size_t start = chunk * batch_size;
+    std::vector<std::size_t> idx(std::min(batch_size, data.size() - start));
     std::iota(idx.begin(), idx.end(), start);
     const Batch batch = data.make_batch(idx);
+    Model model = make_model();
     const Tensor logits = model.forward(batch.images, /*train=*/false);
-    correct += count_correct(logits, batch.labels);
-    loss_sum +=
-        softmax_cross_entropy(logits, batch.labels).loss * static_cast<double>(idx.size());
+    tallies[chunk] = {count_correct(logits, batch.labels),
+                      softmax_cross_entropy(logits, batch.labels).loss *
+                          static_cast<double>(idx.size())};
+  });
+  std::size_t correct = 0;
+  double loss_sum = 0.0;
+  for (const Tally& t : tallies) {
+    correct += t.correct;
+    loss_sum += t.loss_sum;
   }
   res.samples = data.size();
   res.accuracy = static_cast<double>(correct) / static_cast<double>(data.size());

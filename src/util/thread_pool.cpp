@@ -1,4 +1,4 @@
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cstdint>

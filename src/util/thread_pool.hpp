@@ -1,12 +1,13 @@
 #pragma once
-// Fixed-size thread pool for intra-round client parallelism.
+// Fixed-size thread pool for the engines' parallel phases.
 //
-// The pool exists to run the engine's client work items (build -> import ->
-// local_train -> export) concurrently; determinism is the caller's problem
-// and is solved upstream by giving every work item its own derived RNG and
-// committing results at sequential points (see round_engine.hpp). With one
-// thread the pool spawns no workers at all and parallel_for degenerates to a
-// plain loop on the calling thread.
+// The pool runs the engine's client work items (build -> import ->
+// local_train -> export) and the fixed-size chunks of a model evaluation
+// (fl/evaluate.hpp) concurrently; determinism is the caller's problem and is
+// solved upstream by giving every work item its own derived RNG or its own
+// output slot, and committing results at sequential points (see
+// round_engine.hpp). With one thread the pool spawns no workers at all and
+// parallel_for degenerates to a plain loop on the calling thread.
 
 #include <atomic>
 #include <condition_variable>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "data/dataset.hpp"
 #include "data/federated.hpp"
@@ -44,6 +46,20 @@ TEST(Dataset, ShuffledBatchesCoverAllOnce) {
     for (std::size_t i : b) ++seen[i];
   }
   for (int s : seen) EXPECT_EQ(s, 1);
+}
+
+TEST(Dataset, ShuffledBatchesRejectsZeroBatchSize) {
+  // A zero batch size would append empty batches until memory runs out.
+  Dataset ds(1, 1, 1, 2);
+  ds.add(Tensor({1, 1, 1}), 0);
+  Rng rng(1);
+  try {
+    ds.shuffled_batches(0, rng);
+    FAIL() << "batch size 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_size must be >= 1, got 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Dataset, ClassHistogram) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/round_engine.hpp"
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 namespace {
@@ -133,7 +133,7 @@ class MockPolicy : public RoundPolicy {
     log_.push_back("aggregate:" + std::to_string(round));
   }
 
-  void evaluate(std::size_t, RunResult& result) override {
+  void evaluate(std::size_t, RunResult& result, ThreadPool&) override {
     result.final_full_acc = 0.5;
     result.final_avg_acc = 0.5;
     result.level_acc["L1"] = 0.5;

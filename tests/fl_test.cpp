@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "arch/zoo.hpp"
 #include "core/experiment.hpp"
 #include "fl/evaluate.hpp"
@@ -14,6 +18,16 @@
 namespace afl {
 namespace {
 
+/// Flatten + Linear(in -> classes) with the given weight diagonal.
+Model linear_model(std::size_t in, std::size_t classes, float diagonal) {
+  Model m;
+  m.append("flat", std::make_unique<Flatten>());
+  auto lin = std::make_unique<Linear>(in, classes);
+  for (std::size_t i = 0; i < std::min(in, classes); ++i) lin->weight()[i * in + i] = diagonal;
+  m.append("cls", std::move(lin));
+  return m;
+}
+
 TEST(Evaluate, PerfectModelScoresOne) {
   // A linear model with a huge diagonal weight on a one-hot-ish task.
   Dataset ds(1, 1, 3, 3);
@@ -22,12 +36,8 @@ TEST(Evaluate, PerfectModelScoresOne) {
     img[static_cast<std::size_t>(label)] = 10.0f;
     ds.add(img, label);
   }
-  Model m;
-  m.append("flat", std::make_unique<Flatten>());
-  auto lin = std::make_unique<Linear>(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) lin->weight()[i * 3 + i] = 1.0f;
-  m.append("cls", std::move(lin));
-  const EvalResult r = evaluate(m, ds);
+  ThreadPool pool(1);
+  const EvalResult r = evaluate([] { return linear_model(3, 3, 1.0f); }, ds, 16, pool);
   EXPECT_DOUBLE_EQ(r.accuracy, 1.0);
   EXPECT_EQ(r.samples, 3u);
   EXPECT_LT(r.mean_loss, 0.01);
@@ -35,10 +45,8 @@ TEST(Evaluate, PerfectModelScoresOne) {
 
 TEST(Evaluate, EmptyDataset) {
   Dataset ds(1, 2, 2, 2);
-  Model m;
-  m.append("flat", std::make_unique<Flatten>());
-  m.append("cls", std::make_unique<Linear>(4, 2));
-  const EvalResult r = evaluate(m, ds);
+  ThreadPool pool(1);
+  const EvalResult r = evaluate([] { return linear_model(4, 2, 0.0f); }, ds, 16, pool);
   EXPECT_EQ(r.samples, 0u);
   EXPECT_DOUBLE_EQ(r.accuracy, 0.0);
 }
@@ -48,11 +56,31 @@ TEST(Evaluate, BatchSizeDoesNotChangeResult) {
   SyntheticTask task(SyntheticConfig::cifar10_like(8), rng);
   Dataset ds = task.generate(37, rng);
   ArchSpec spec = mini_vgg(10, 3, 8);
-  Model m = build_full_model(spec, &rng);
-  const EvalResult a = evaluate(m, ds, 8);
-  const EvalResult b = evaluate(m, ds, 64);
+  const ParamSet params = build_full_model(spec, &rng).export_params();
+  const auto make_model = [&] {
+    Model m = build_full_model(spec);
+    m.import_params(params);
+    return m;
+  };
+  ThreadPool pool(1);
+  const EvalResult a = evaluate(make_model, ds, 8, pool);
+  const EvalResult b = evaluate(make_model, ds, 64, pool);
   EXPECT_DOUBLE_EQ(a.accuracy, b.accuracy);
   EXPECT_NEAR(a.mean_loss, b.mean_loss, 1e-5);
+}
+
+TEST(Evaluate, ZeroBatchSizeThrows) {
+  // A zero chunk size would never advance the chunk loop.
+  Dataset ds(1, 2, 2, 2);
+  ds.add(Tensor({1, 2, 2}), 0);
+  ThreadPool pool(1);
+  try {
+    evaluate([] { return linear_model(4, 2, 1.0f); }, ds, 0, pool);
+    FAIL() << "batch size 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_size must be >= 1, got 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LocalTrain, CountsSamplesAcrossEpochs) {
