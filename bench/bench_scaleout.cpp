@@ -1,7 +1,7 @@
 // Hierarchical scale-out bench (docs/HIERARCHY.md): how far the client
 // population can grow with lazy data shards, sparse RL tables, and the
-// sharded hierarchical engine. For each population size it runs AdaptiveFL
-// under HierEngine (8 shards, sync every round) and reports rounds/sec plus
+// sharded round engine. For each population size it runs AdaptiveFL
+// sharded (8 shards, sync every round) and reports rounds/sec plus
 // the process RSS — compared against what *storing* every client shard would
 // have cost, which is the sublinear-memory claim the RSS gauge verifies.
 //

@@ -106,11 +106,12 @@ void write_pending(SnapshotWriter& w, std::size_t id, const Pending& p,
   w.u64(p.rx ? 1 : 0);
   if (p.rx) w.params(*p.rx);
   if (p.trained) {
+    // stats.seconds (wall-clock training time) stays out: identical logical
+    // state must give identical bytes, and it only feeds round_metrics.
     w.params(p.outcome.params);
     w.u64(p.outcome.samples);
     w.f64(p.outcome.stats.mean_loss);
     w.u64(p.outcome.stats.samples_seen);
-    w.f64(p.outcome.stats.seconds);
   }
   if (compress_on) {
     // Written only when compression is active, so uncompressed snapshots
@@ -149,7 +150,7 @@ std::size_t read_pending(SnapshotReader& r, Pending& p, bool compress_on) {
     p.outcome.samples = r.u64();
     p.outcome.stats.mean_loss = r.f64();
     p.outcome.stats.samples_seen = r.u64();
-    p.outcome.stats.seconds = r.f64();
+    p.outcome.stats.seconds = 0.0;
   }
   if (compress_on && r.u64() != 0) {
     p.upref = std::make_unique<ParamSet>(r.params());
@@ -422,22 +423,15 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     // buffer_wait runs from each arrival to here.
     lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
                             static_cast<long long>(new_version));
-    obs::sample_rss();  // same memory gauges as the hierarchical engine's syncs
+    obs::sample_rss();  // same memory gauges as the round engine's syncs
     policy.end_round(flushes, *telemetry);
     telemetry->set_sim_time(clock.now() - last_flush_time, clock.now());
     last_flush_time = clock.now();
     if (config_.eval_every != 0 &&
         (flushes % config_.eval_every == 0 || flushes == config_.rounds)) {
       AFL_PROF_SPAN("async.evaluate");
-      Stopwatch eval_watch;
-      policy.evaluate(flushes, result, pool);
-      result.curve.push_back({flushes, result.final_full_acc,
-                              result.final_avg_acc, result.comm.waste_rate(),
-                              result.comm.round_waste_rate()});
-      telemetry->add_eval_seconds(eval_watch.seconds());
-      result.note_time_to_acc(result.final_full_acc, clock.now(), flushes);
-      engine::trace_eval_point(flushes, clock.now(), result.final_full_acc,
-                               result.final_avg_acc);
+      engine::evaluate_global(policy, flushes, result, pool, &*telemetry,
+                              clock.now());
     }
     telemetry.reset();  // flush this window's metrics record
     engine::publish_run_status(result, flushes, config_.rounds, watch.seconds(),
@@ -490,12 +484,8 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       // Killed-at-flush-k semantics: hand back the partial result; a later
       // run resumes from the snapshot and reproduces the full run exactly.
       telemetry.reset();
-      result.wall_seconds = watch.seconds();
-      result.sim_seconds = last_flush_time;
-      engine::publish_run_status(result, flushes, config_.rounds,
-                                 result.wall_seconds, threads_,
-                                 /*active=*/false, &lifecycle.blame());
-      engine::trace_run_end(result, transport_);
+      engine::finish_run(result, watch, last_flush_time, flushes,
+                         config_.rounds, threads_, lifecycle, transport_);
       return result;
     }
     top_up();
@@ -660,17 +650,10 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
 
   telemetry.reset();
   if (result.curve.empty()) {
-    policy.evaluate(config_.rounds, result, pool);
-    result.curve.push_back({config_.rounds, result.final_full_acc,
-                            result.final_avg_acc, result.comm.waste_rate(),
-                            result.comm.round_waste_rate()});
+    engine::evaluate_global(policy, config_.rounds, result, pool);
   }
-  result.wall_seconds = watch.seconds();
-  result.sim_seconds = last_flush_time;
-  engine::publish_run_status(result, config_.rounds, config_.rounds,
-                             result.wall_seconds, threads_, /*active=*/false,
-                             &lifecycle.blame());
-  engine::trace_run_end(result, transport_);
+  engine::finish_run(result, watch, last_flush_time, config_.rounds,
+                     config_.rounds, threads_, lifecycle, transport_);
   return result;
 }
 

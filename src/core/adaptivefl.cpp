@@ -8,8 +8,8 @@
 #include "async/engine.hpp"
 #include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
-#include "hier/engine.hpp"
 #include "fl/evaluate.hpp"
+#include "hier/config.hpp"
 #include "nn/init.hpp"
 #include "pop/population.hpp"
 #include "obs/metrics.hpp"
@@ -25,7 +25,7 @@ namespace {
 /// seam: the same selector / pruning / RL / aggregation code runs under the
 /// async engine, where `taken_` becomes the in-flight set and commits carry
 /// a staleness weight. The HierRoundPolicy seam on top exposes the global
-/// parameter set to the hierarchical engine, which owns aggregation itself.
+/// parameter set to sharded round-engine runs, which own aggregation.
 class AdaptiveFlPolicy final : public HierRoundPolicy {
  public:
   AdaptiveFlPolicy(const ArchSpec& spec, const ModelPool& pool,
@@ -311,11 +311,7 @@ RunResult AdaptiveFl::run() {
     async::AsyncEngine engine(config_, async_cfg, &devices_, population.get());
     return engine.run(policy);
   }
-  if (hier_cfg.enabled) {
-    hier::HierEngine engine(config_, hier_cfg, &devices_, population.get());
-    return engine.run(policy);
-  }
-  RoundEngine engine(config_, &devices_, population.get());
+  RoundEngine engine(config_, &devices_, population.get(), hier_cfg);
   return engine.run(policy);
 }
 

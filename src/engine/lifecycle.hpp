@@ -4,12 +4,12 @@
 // Every dispatch of a time-modeling run gets a stable dispatch_id whose
 // virtual-clock phases — select → downlink → compute → uplink(+retries/
 // backoff) → buffer_wait → commit, or a terminal drop — are emitted as
-// structured `lifecycle` records in the AFL_TRACE_JSONL stream. All three
-// engines (sync RoundEngine, src/async/ event engine, src/hier/ edge/root
-// pipeline) feed one LifecycleTracker per run:
+// structured `lifecycle` records in the AFL_TRACE_JSONL stream. Both
+// engines (the RoundEngine, flat or sharded, and the src/async/ event
+// engine) feed one LifecycleTracker per run:
 //
-//   - sync/hier assign sequential ids during the sequential planning pass,
-//     so ids are invariant to AFL_THREADS and the shard count;
+//   - the RoundEngine assigns sequential ids during its sequential planning
+//     pass, so ids are invariant to AFL_THREADS and the shard count;
 //   - the async engine reuses its dispatch counter (slot.round) as the id.
 //
 // Phase intervals live on the run's virtual clock (run-global simulated
@@ -67,8 +67,8 @@ class LifecycleTracker {
 
   bool active() const { return active_; }
 
-  /// Next sequential dispatch id (1-based). Sync/hier call this during the
-  /// sequential planning pass; the async engine brings its own counter.
+  /// Next sequential dispatch id (1-based). The RoundEngine calls this during
+  /// its sequential planning pass; the async engine brings its own counter.
   std::size_t next_id() { return ++last_id_; }
 
   /// Snapshot/resume (docs/POPULATION.md): the id counter survives a resume
@@ -105,7 +105,7 @@ class LifecycleTracker {
   void commit_window(double t_commit, int commit_shard = -1,
                      long long commit_version = -1);
 
-  /// Hierarchical root-barrier records (dispatch-less, level-tagged): the
+  /// Sharded-run root-barrier records (dispatch-less, level-tagged): the
   /// idle wait of one edge clock up to the sync barrier, and the merge
   /// instant itself.
   void root_wait(std::size_t round, int shard, double t0, double t1);

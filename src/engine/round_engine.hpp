@@ -47,6 +47,7 @@
 
 #include "engine/run.hpp"
 #include "fl/local_train.hpp"
+#include "hier/config.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/param.hpp"
@@ -229,19 +230,18 @@ class AsyncRoundPolicy : public RoundPolicy {
                                double weight_scale) = 0;
 };
 
-/// Extension consumed by the hierarchical multi-aggregator engine (src/hier/,
-/// docs/HIERARCHY.md). The hierarchical engine plans rounds through the same
-/// sequential hooks (engine/plan.hpp) but owns aggregation itself: shard-local
-/// ShardAggregators fold the updates and a root merger commits the new global,
-/// so commit()/aggregate() are never called. That requires direct access to
-/// the policy's global parameter set plus a payload split against an explicit
-/// (possibly shard-local) model.
+/// Extension consumed by RoundEngine's sharded mode (docs/HIERARCHY.md). A
+/// sharded run plans rounds through the same sequential hooks as a flat one
+/// but owns aggregation itself: per-shard ShardAggregators fold the updates and
+/// the root merge commits the new global, so commit()/aggregate() are never
+/// called. That requires direct access to the policy's global parameter set
+/// plus a payload split against an explicit (possibly shard-local) model.
 class HierRoundPolicy : public AsyncRoundPolicy {
  public:
   /// The policy's current global parameter set (frozen between syncs).
   virtual const ParamSet& hier_global() const = 0;
 
-  /// Replaces the global parameter set (the root merger's commit).
+  /// Replaces the global parameter set (the root merge's commit).
   virtual void hier_set_global(ParamSet global) = 0;
 
   /// The downlink payload for `slot` split from an explicit model — the
@@ -254,14 +254,27 @@ class HierRoundPolicy : public AsyncRoundPolicy {
 /// Drives a RoundPolicy through config.rounds rounds. `devices` may be null
 /// for idealized baselines (always responsive, unlimited capacity); otherwise
 /// it must hold one profile per client and outlive the engine.
+///
+/// Sharded mode (docs/HIERARCHY.md): an enabled `hier` config partitions the
+/// clients across `shards` edge aggregators by client_id % shards. Each edge
+/// folds its partition's updates into a mergeable coverage-mass partial
+/// (fl/shard_aggregator.hpp) on its own simulated clock; every `sync_every`
+/// rounds the partials merge exactly into the new global model. A flat run
+/// (the default, disabled config) is the one-shard case: one clock, no shard
+/// tags, and aggregation through the policy's own commit()/aggregate(). With
+/// sync_every == 1 a sharded run is bit-identical to the flat run for any
+/// shard count and any AFL_THREADS.
 class RoundEngine {
  public:
   /// `population` (optional, not owned) supplies churn telemetry and
   /// per-client channel profiles (docs/POPULATION.md); the churn schedules
   /// themselves reach the engine through the devices' presence pointers.
   RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-              const pop::Population* population = nullptr);
+              const pop::Population* population = nullptr,
+              const hier::HierConfig& hier = {});
 
+  /// Throws std::invalid_argument when the config is sharded and `policy` is
+  /// not a HierRoundPolicy.
   RunResult run(RoundPolicy& policy);
 
   /// Worker threads the engine resolved (config.threads or AFL_THREADS).
@@ -275,6 +288,9 @@ class RoundEngine {
   FlRunConfig config_;
   const std::vector<DeviceSim>* devices_;
   const pop::Population* population_;
+  bool sharded_;
+  std::size_t shards_;      // 1 when flat
+  std::size_t sync_every_;  // 1 when flat
   std::size_t threads_;
   net::Transport transport_;
 };

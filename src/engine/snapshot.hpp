@@ -1,6 +1,6 @@
 #pragma once
-// Engine snapshot/resume plumbing shared by the sync (src/engine/), async
-// (src/async/), and hierarchical (src/hier/) engines — docs/POPULATION.md.
+// Engine snapshot/resume plumbing shared by the round engine (src/engine/,
+// flat and sharded) and the async engine (src/async/) — docs/POPULATION.md.
 //
 // A snapshot is an AFLSNAP1 file (nn/checkpoint.hpp SnapshotWriter/Reader:
 // CRC-32-verified typed primitives) capturing everything a run needs to
@@ -26,11 +26,13 @@
 
 namespace afl::engine {
 
-/// Per-engine snapshot format ids (the first field of every snapshot file).
-/// An engine refuses to resume a snapshot written by another engine or an
-/// older layout revision.
+/// Per-mode snapshot format ids (the first field of every snapshot file): a
+/// flat round-engine run, the async engine, a sharded round-engine run. A run
+/// refuses to resume a snapshot written in another mode or an older layout
+/// revision. Async v2 carries no wall-clock field, so identical logical state
+/// gives identical bytes.
 inline constexpr const char* kSyncSnapshotFormat = "afl.snap.sync.v1";
-inline constexpr const char* kAsyncSnapshotFormat = "afl.snap.async.v1";
+inline constexpr const char* kAsyncSnapshotFormat = "afl.snap.async.v2";
 inline constexpr const char* kHierSnapshotFormat = "afl.snap.hier.v1";
 
 /// Resolved snapshot/resume plan of one run. FlRunConfig fields take

@@ -92,6 +92,10 @@ void trace_churn(std::size_t round, const pop::RoundChurn& churn) {
   ev.emit();
 }
 
+namespace {
+
+/// Emits the run_end summary. Adds a sim_seconds column when the run
+/// tracked simulated time (result.sim_seconds > 0).
 void trace_run_end(const RunResult& result, const net::Transport& transport) {
   // Run end is the profiler's flush point: aggregates become afl.prof.*
   // gauges on /metrics and, when tracing is also on, `profile` records in
@@ -126,6 +130,21 @@ void trace_run_end(const RunResult& result, const net::Transport& transport) {
   ev.field("wall_ms", result.wall_seconds * 1e3);
   ev.emit();
 }
+
+/// Emits an eval_point trace event: the simulated clock at which the run's
+/// evaluation curve reached an accuracy.
+void trace_eval_point(std::size_t round, double virtual_time, double full_acc,
+                      double avg_acc) {
+  if (!obs::trace_enabled()) return;
+  obs::TraceEvent ev("eval_point");
+  ev.field("round", static_cast<std::uint64_t>(round))
+      .field("virtual_time", virtual_time)
+      .field("full_acc", full_acc)
+      .field("avg_acc", avg_acc);
+  ev.emit();
+}
+
+}  // namespace
 
 void publish_run_status(const RunResult& result, std::size_t round,
                         std::size_t total_rounds, double elapsed_seconds,
@@ -208,15 +227,31 @@ void record_transfer(CommStats& comm, const net::TransferResult& t,
   transfer_hist.record(t.seconds);
 }
 
-void trace_eval_point(std::size_t round, double virtual_time, double full_acc,
-                      double avg_acc) {
-  if (!obs::trace_enabled()) return;
-  obs::TraceEvent ev("eval_point");
-  ev.field("round", static_cast<std::uint64_t>(round))
-      .field("virtual_time", virtual_time)
-      .field("full_acc", full_acc)
-      .field("avg_acc", avg_acc);
-  ev.emit();
+void evaluate_global(RoundPolicy& policy, std::size_t round, RunResult& result,
+                     ThreadPool& workers, RoundTelemetry* telemetry,
+                     double sim_time) {
+  Stopwatch watch;
+  policy.evaluate(round, result, workers);
+  result.curve.push_back({round, result.final_full_acc, result.final_avg_acc,
+                          result.comm.waste_rate(),
+                          result.comm.round_waste_rate()});
+  if (telemetry != nullptr) telemetry->add_eval_seconds(watch.seconds());
+  if (sim_time >= 0.0) {
+    result.note_time_to_acc(result.final_full_acc, sim_time, round);
+    trace_eval_point(round, sim_time, result.final_full_acc,
+                     result.final_avg_acc);
+  }
+}
+
+void finish_run(RunResult& result, const Stopwatch& watch, double sim_seconds,
+                std::size_t round, std::size_t total_rounds, std::size_t threads,
+                const LifecycleTracker& lifecycle,
+                const net::Transport& transport) {
+  result.wall_seconds = watch.seconds();
+  result.sim_seconds = sim_seconds;
+  publish_run_status(result, round, total_rounds, result.wall_seconds, threads,
+                     /*active=*/false, &lifecycle.blame());
+  trace_run_end(result, transport);
 }
 
 }  // namespace afl::engine

@@ -1,8 +1,8 @@
 #pragma once
 // Run-level trace / status helpers shared by the synchronous RoundEngine and
-// the async engine (src/async/engine.*). Formerly file-local to
-// round_engine.cpp; both execution models must emit identical run_start /
-// run_end / dispatch records so afl-insight can diff their traces.
+// the async engine (src/async/engine.*). Both execution models must emit
+// identical run_start / run_end / dispatch records so afl-insight can diff
+// their traces, and they evaluate and close a run through the same steps.
 
 #include <cstddef>
 
@@ -11,6 +11,8 @@
 #include "engine/run.hpp"
 #include "fl/comm.hpp"
 #include "net/transport.hpp"
+#include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl::engine {
 
@@ -23,7 +25,7 @@ namespace afl::engine {
 inline constexpr const char* kTraceSchema = "afl.trace.v3";
 
 /// Emits the run_start header. `mode` tags non-default execution models
-/// (the async engine passes "async", the hierarchical engine "hier"); null
+/// (the async engine passes "async", a sharded RoundEngine run "hier"); null
 /// omits the field so synchronous traces stay byte-identical. `shards` > 0
 /// adds the hierarchical topology columns (shards, sync_every).
 /// `population`, when non-null, adds the population columns (fleet size,
@@ -40,10 +42,6 @@ void trace_run_start(const RunResult& result, const FlRunConfig& config,
 /// static-fleet traces gain no records.
 void trace_churn(std::size_t round, const pop::RoundChurn& churn);
 
-/// Emits the run_end summary. Adds a sim_seconds column when the run
-/// tracked simulated time (result.sim_seconds > 0).
-void trace_run_end(const RunResult& result, const net::Transport& transport);
-
 /// Publishes a RunStatus snapshot to the live status board. `blame`, when
 /// non-null and valid, fills the snapshot's critical_path block (the online
 /// per-phase attribution from the run's LifecycleTracker).
@@ -54,8 +52,8 @@ void publish_run_status(const RunResult& result, std::size_t round,
 
 /// Emits a failed dispatch trace event. `virtual_time` >= 0 adds the async
 /// engine's simulated-clock column; negative omits it (synchronous path).
-/// `shard` >= 0 tags the record with its aggregation shard (hierarchical
-/// engine); negative omits the column so flat-engine traces are unchanged —
+/// `shard` >= 0 tags the record with its aggregation shard (sharded runs);
+/// negative omits the column so flat-run traces are unchanged —
 /// afl-insight treats runs mixing tagged and untagged dispatches as bad data.
 void trace_dispatch_failure(const ClientSlot& slot, const char* outcome,
                             double virtual_time = -1.0, int shard = -1);
@@ -66,9 +64,20 @@ void trace_dispatch_failure(const ClientSlot& slot, const char* outcome,
 void record_transfer(CommStats& comm, const net::TransferResult& transfer,
                      bool uplink);
 
-/// Emits an eval_point trace event (the afl-insight `timeline` input): the
-/// simulated clock at which the run's evaluation curve reached an accuracy.
-void trace_eval_point(std::size_t round, double virtual_time, double full_acc,
-                      double avg_acc);
+/// Evaluates the global model after `round` and appends the curve point
+/// (with the comm-waste columns). `telemetry`, when non-null, gets the wall
+/// time. `sim_time` >= 0 (a run that models time) also notes time-to-accuracy
+/// and emits an eval_point record (the afl-insight `timeline` input).
+void evaluate_global(RoundPolicy& policy, std::size_t round, RunResult& result,
+                     ThreadPool& workers, RoundTelemetry* telemetry = nullptr,
+                     double sim_time = -1.0);
+
+/// Closes a run after `round`: stamps wall_seconds and sim_seconds, publishes
+/// the final (inactive) status and emits the run_end summary (with a
+/// sim_seconds column when the run tracked simulated time).
+void finish_run(RunResult& result, const Stopwatch& watch, double sim_seconds,
+                std::size_t round, std::size_t total_rounds, std::size_t threads,
+                const LifecycleTracker& lifecycle,
+                const net::Transport& transport);
 
 }  // namespace afl::engine

@@ -12,9 +12,8 @@
 // derived as Rng::derive(seed ^ salt, round, client) — independent of the
 // engine's round RNG and of thread count. A disabled transport (the default)
 // performs no draws and no accounting: existing runs stay byte-identical.
-// Because sessions are keyed per (round, client) — never per server — the
-// hierarchical engine (src/hier/, docs/HIERARCHY.md) shares this transport
-// unchanged: a client's channel behaves identically no matter which edge
+// Because sessions are keyed per (round, client) — never per server —
+// sharded runs (docs/HIERARCHY.md) share this transport unchanged: a client's channel behaves identically no matter which edge
 // aggregator owns it, which is what keeps sharded runs bit-identical.
 
 #include <cstddef>

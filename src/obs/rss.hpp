@@ -1,7 +1,7 @@
 #pragma once
 // Process-memory observability: resident-set-size gauges for scale-out runs.
 //
-// The hierarchical engine's whole point is fitting 10^5-10^6 simulated
+// Sharded (hierarchical) runs exist to fit 10^5-10^6 simulated
 // clients in memory (docs/HIERARCHY.md); these helpers make that claim
 // measurable. read_rss() parses /proc/self/status (VmRSS / VmHWM);
 // sample_rss() additionally publishes the values as gauges:

@@ -7,6 +7,8 @@ namespace afl {
 
 /// Returns the env var value or `fallback` when unset / empty.
 std::string env_or(const std::string& name, const std::string& fallback);
+/// Numeric variants: the value must be wholly a (decimal) number, else they
+/// throw std::invalid_argument naming the variable and the value.
 int env_or(const std::string& name, int fallback);
 double env_or(const std::string& name, double fallback);
 

@@ -69,10 +69,10 @@ class Rng {
 
   /// Four-word derivation with an extra stream-tag word between the seed and
   /// the round — (seed, shard, round, client). Used where a stream must be
-  /// scoped to an aggregation shard or a subsystem (the hierarchical engine,
-  /// lazy dataset synthesis; docs/HIERARCHY.md). Note that the lockstep
-  /// training streams of the hierarchical engine deliberately use the
-  /// three-word overload so the shard count can never perturb results.
+  /// scoped to an aggregation shard or a subsystem (sharded runs, lazy
+  /// dataset synthesis; docs/HIERARCHY.md). Note that the training streams
+  /// of sharded runs deliberately use the three-word overload so the shard
+  /// count can never perturb results.
   static Rng derive(std::uint64_t seed, std::uint64_t shard,
                     std::uint64_t round, std::uint64_t client);
 

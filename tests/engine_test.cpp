@@ -304,6 +304,24 @@ TEST(RoundEngine, ThreadsResolveFromEnvWhenUnset) {
   ::unsetenv("AFL_THREADS");
 }
 
+TEST(RoundEngine, ShardedModeNeedsHierRoundPolicy) {
+  // A sharded run owns aggregation through the HierRoundPolicy hooks; a
+  // plain RoundPolicy must be refused up front, naming the algorithm.
+  MockPolicy policy(2);
+  auto fleet = mock_fleet(2, 1000, 1.0);
+  hier::HierConfig hier;
+  hier.enabled = true;
+  hier.shards = 2;
+  RoundEngine engine(mock_config(1, 2), &fleet, nullptr, hier);
+  try {
+    engine.run(policy);
+    FAIL() << "sharded run of a plain RoundPolicy did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Mock"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(policy.log_.empty()) << "refused before init_global";
+}
+
 TEST(RoundEngine, EvalEveryZeroStillProducesFinalPoint) {
   MockPolicy policy(2);
   auto fleet = mock_fleet(2, 1000, 1.0);

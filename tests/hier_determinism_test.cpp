@@ -1,6 +1,6 @@
-// Shard-count invariance of the hierarchical engine (docs/HIERARCHY.md):
-// with sync_every == 1 the HierEngine must produce a RunResult bit-identical
-// to the flat RoundEngine for ANY shard count and ANY thread count — planning
+// Shard-count invariance of sharded runs (docs/HIERARCHY.md): with
+// sync_every == 1 a sharded RoundEngine run must produce a RunResult
+// bit-identical to the flat run for ANY shard count and ANY thread count — planning
 // is shared code, per-client training streams are shard-independent, and the
 // fixed-point coverage masses make the root merge independent of how updates
 // were grouped into shards. Exercised both transportless and over a lossy,

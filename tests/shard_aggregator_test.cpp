@@ -3,7 +3,7 @@
 // single-shot hetero_aggregate over the union of updates EXACTLY — 0 ulp, not
 // approximately — for any split and any fold order, because the coverage
 // masses are fixed-point integers. This is the algebraic core behind the
-// hierarchical engine's shard-count invariance (docs/HIERARCHY.md).
+// shard-count invariance of sharded runs (docs/HIERARCHY.md).
 
 #include <gtest/gtest.h>
 

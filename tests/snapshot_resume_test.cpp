@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -256,24 +258,83 @@ TEST(SnapshotResume, CorruptedSnapshotIsRejected) {
 }
 
 TEST(SnapshotResume, WrongEngineSnapshotIsRejected) {
-  ExperimentEnv env = small_env();
-  const std::string path = snap_path("wrong_engine");
-  env.run.snapshot_path = path;
-  env.run.snapshot_every = std::size_t{1};
-  env.run.stop_after_round = std::size_t{3};
-  run_algorithm(Algorithm::kAdaptiveFl, env);  // sync-format snapshot
+  // Each mode writes its own snapshot format (flat sync, async, sharded
+  // hier); resuming one under another must refuse, not misread the state.
+  enum class Mode { kSync, kAsync, kHier };
+  const auto configure = [](ExperimentEnv& env, Mode mode) {
+    if (mode == Mode::kAsync) {
+      async::AsyncConfig acfg;
+      acfg.enabled = true;
+      acfg.buffer_size = 3;
+      env.run.async = acfg;
+      env.run.net->round_deadline_s = 0.0;
+    } else if (mode == Mode::kHier) {
+      hier::HierConfig hcfg;
+      hcfg.enabled = true;
+      hcfg.shards = 2;
+      env.run.hier = hcfg;
+    }
+  };
+  const std::pair<Mode, Mode> cases[] = {
+      {Mode::kSync, Mode::kAsync},
+      {Mode::kSync, Mode::kHier},
+      {Mode::kHier, Mode::kSync},
+  };
+  const char* const names[] = {"sync", "async", "hier"};
+  for (const auto& [writer, reader] : cases) {
+    SCOPED_TRACE(std::string(names[static_cast<int>(writer)]) + " -> " +
+                 names[static_cast<int>(reader)]);
+    ExperimentEnv env = small_env();
+    const std::string path = snap_path("wrong_engine");
+    env.run.snapshot_path = path;
+    env.run.snapshot_every = std::size_t{1};
+    env.run.stop_after_round = std::size_t{3};
+    configure(env, writer);
+    run_algorithm(Algorithm::kAdaptiveFl, env);
 
-  env.run.snapshot_path = std::string{};
-  env.run.stop_after_round = std::size_t{0};
-  env.run.resume_from = path;
-  async::AsyncConfig acfg;
-  acfg.enabled = true;
-  acfg.buffer_size = 3;
-  env.run.async = acfg;
-  env.run.net->round_deadline_s = 0.0;
-  EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env),
-               std::runtime_error);
-  std::remove(path.c_str());
+    env = small_env();
+    env.run.resume_from = path;
+    configure(env, reader);
+    EXPECT_THROW(run_algorithm(reader == Mode::kAsync
+                                   ? Algorithm::kAdaptiveFlAsync
+                                   : Algorithm::kAdaptiveFl,
+                               env),
+                 std::runtime_error);
+    std::remove(path.c_str());
+  }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SnapshotResume, AsyncSnapshotBytesIndependentOfRunAndThreads) {
+  // Snapshot contract: identical logical state gives identical bytes. The
+  // async snapshot holds trained-but-uncommitted updates in flight, whose
+  // wall-clock training time must therefore stay out of the file.
+  std::vector<std::string> files;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{1}, std::size_t{4}}) {
+    ExperimentEnv env = small_env();
+    env.run.threads = threads;
+    async::AsyncConfig acfg;
+    acfg.enabled = true;
+    acfg.buffer_size = 3;
+    acfg.concurrency = 5;
+    env.run.async = acfg;
+    env.run.net->round_deadline_s = 0.0;
+    const std::string path = snap_path("async_bytes");
+    env.run.snapshot_path = path;
+    env.run.snapshot_every = std::size_t{1};
+    env.run.stop_after_round = std::size_t{3};
+    run_algorithm(Algorithm::kAdaptiveFlAsync, env);
+    files.push_back(read_bytes(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[1] == files[0]) << "two identical 1-thread runs differ";
+  EXPECT_TRUE(files[2] == files[0]) << "1 vs 4 threads differ";
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "hier/config.hpp"
+#include "net/transport.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -212,13 +217,74 @@ TEST(Env, FallbacksWhenUnset) {
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", std::string("dflt")), "dflt");
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), 5);
   EXPECT_DOUBLE_EQ(env_or("AFL_TEST_ENV_X", 2.5), 2.5);
+  ::setenv("AFL_TEST_ENV_X", "", 1);  // empty means unset
+  EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), 5);
+  EXPECT_DOUBLE_EQ(env_or("AFL_TEST_ENV_X", 2.5), 2.5);
+  ::unsetenv("AFL_TEST_ENV_X");
 }
 
 TEST(Env, ReadsValues) {
   ::setenv("AFL_TEST_ENV_X", "17", 1);
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), 17);
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", std::string("d")), "17");
+  for (const auto& [value, want] : {std::pair{"-3", -3}, std::pair{"+4", 4}}) {
+    ::setenv("AFL_TEST_ENV_X", value, 1);
+    EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), want) << value;
+  }
+  for (const auto& [value, want] :
+       {std::pair{"0.05", 0.05}, std::pair{".5", 0.5}, std::pair{"1e3", 1000.0}}) {
+    ::setenv("AFL_TEST_ENV_X", value, 1);
+    EXPECT_DOUBLE_EQ(env_or("AFL_TEST_ENV_X", 2.5), want) << value;
+  }
   ::unsetenv("AFL_TEST_ENV_X");
+}
+
+/// The std::invalid_argument message of a numeric env_or read of `value`, or
+/// "" when the read did not throw.
+template <typename T>
+std::string numeric_env_error(const char* value, T fallback) {
+  ::setenv("AFL_TEST_ENV_X", value, 1);
+  std::string message;
+  try {
+    (void)env_or("AFL_TEST_ENV_X", fallback);
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  ::unsetenv("AFL_TEST_ENV_X");
+  return message;
+}
+
+TEST(Env, RejectsValuesThatAreNotWhollyNumbers) {
+  // Each rejection names the variable and the quoted value.
+  const auto expect_rejected = [](const char* bad, const std::string& message) {
+    EXPECT_NE(message.find("AFL_TEST_ENV_X"), std::string::npos) << bad;
+    EXPECT_NE(message.find(std::string("\"") + bad + "\""), std::string::npos)
+        << bad << ": " << message;
+  };
+  for (const char* bad : {"eight", "yes", "5%", "1.5", "3 ", " 3", "0x10", "1e3",
+                          "-", "99999999999"}) {
+    expect_rejected(bad, numeric_env_error(bad, 5));
+  }
+  for (const char* bad : {"5%", "yes", "0.5s", "1.0.0", " 0.5", "0.5 ", "nan",
+                          "inf", "1e999", "."}) {
+    expect_rejected(bad, numeric_env_error(bad, 2.5));
+  }
+}
+
+TEST(Env, ConfigsRejectMisreadableValues) {
+  // atoi/atof would read "eight" shards as 0 (one shard), "yes" as disabled,
+  // and a 5% loss as a probability of 5.0.
+  ::setenv("AFL_HIER_SHARDS", "eight", 1);
+  EXPECT_THROW(hier::HierConfig::from_env(), std::invalid_argument);
+  ::unsetenv("AFL_HIER_SHARDS");
+  ::setenv("AFL_HIER", "yes", 1);
+  EXPECT_THROW(hier::HierConfig::from_env(), std::invalid_argument);
+  ::unsetenv("AFL_HIER");
+  ::setenv("AFL_NET", "1", 1);
+  ::setenv("AFL_NET_LOSS", "5%", 1);
+  EXPECT_THROW(net::NetConfig::from_env(), std::invalid_argument);
+  ::unsetenv("AFL_NET_LOSS");
+  ::unsetenv("AFL_NET");
 }
 
 }  // namespace
