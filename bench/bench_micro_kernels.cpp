@@ -30,7 +30,11 @@ namespace {
 
 using namespace afl;
 
-void BM_Gemm(benchmark::State& state) {
+using GemmFn = decltype(&gemm);
+
+// Args are {m, k, n} of C[m x n] = A * B; the variants differ only in which
+// operand is stored transposed, so the buffers are the same sizes.
+void run_gemm(benchmark::State& state, GemmFn kernel) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const std::size_t n = static_cast<std::size_t>(state.range(2));
@@ -39,14 +43,25 @@ void BM_Gemm(benchmark::State& state) {
   for (auto& v : a) v = static_cast<float>(rng.normal());
   for (auto& v : b) v = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    gemm(a.data(), b.data(), c.data(), m, k, n);
+    kernel(a.data(), b.data(), c.data(), m, k, n, false);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(2 * m * k * n) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
+
+void BM_Gemm(benchmark::State& state) { run_gemm(state, gemm); }
 BENCHMARK(BM_Gemm)->Args({16, 144, 2880})->Args({64, 576, 720})->Args({64, 256, 64});
+
+// MiniVGG's conv backward on 12x12 inputs at batch 25, second and last conv:
+// gemm_at is grad_cols[CKK, B*S] = W^T * gout, gemm_bt is gW[OC, CKK] =
+// gout * cols^T.
+void BM_GemmAt(benchmark::State& state) { run_gemm(state, gemm_at); }
+BENCHMARK(BM_GemmAt)->Args({144, 16, 3600})->Args({576, 64, 225});
+
+void BM_GemmBt(benchmark::State& state) { run_gemm(state, gemm_bt); }
+BENCHMARK(BM_GemmBt)->Args({16, 3600, 144})->Args({64, 225, 576});
 
 void BM_Im2Col(benchmark::State& state) {
   const ConvGeom g{static_cast<std::size_t>(state.range(0)), 12, 12, 3, 1, 1};

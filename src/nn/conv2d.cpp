@@ -91,8 +91,8 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
     }
   }
   // grad_cols[CKK, B*S] = W^T[CKK, OC] * gout_all[OC, B*S]; reuse the cached
-  // column buffer as the destination (its contents are no longer needed).
-  std::vector<float> grad_cols(ckk * wide);
+  // column buffer as the destination (gemm_bt above was its last reader).
+  std::vector<float>& grad_cols = cached_cols_;
   gemm_at(w_.data(), gout_all.data(), grad_cols.data(), ckk, out_c_, wide);
   Tensor grad_in({n, in_c_, g.height, g.width});
   const std::size_t in_plane = in_c_ * g.height * g.width;

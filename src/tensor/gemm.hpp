@@ -1,5 +1,13 @@
 #pragma once
 // Small single-threaded GEMM used by conv (via im2col) and linear layers.
+//
+// All three variants run one register-tiled kernel (4 rows x 32 columns of C
+// held in registers across the whole k loop); gemm_bt first packs B^T into a
+// small per-thread panel, one block of k-rows at a time. They share one
+// rounding rule: every element of C is one chain c += A(i, p) * B(p, j) over
+// p = 0..k-1 in order (fused multiply-adds where the target has FMA). So
+// gemm_at on A^T and gemm_bt on B^T equal gemm(A, B) bit for bit, and any
+// block of C computed on its own equals the same block of the full product.
 
 #include <cstddef>
 

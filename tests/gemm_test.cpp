@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -89,6 +93,85 @@ TEST(Gemm, AccumulateAddsToExisting) {
   gemm(a.data(), b.data(), base.data(), 4, 3, 5, /*accumulate=*/true);
   for (std::size_t i = 0; i < once.size(); ++i) EXPECT_NEAR(base[i], once[i] + 1.0f, 1e-4f);
 }
+
+// The three kernels share one rounding rule: every C element is one
+// multiply-add chain over p in order, wherever it falls in the tiling. So
+// gemm_at on A^T and gemm_bt on B^T equal gemm bit for bit, and a block of C
+// computed on its own equals the same block of the full product — which keeps
+// chunked evaluation equal to a whole-batch forward. 10 seeds x 100 shapes:
+// n crosses the 32-column tile, and every tenth case has k up to 2000 so
+// gemm_bt's packed B^T spans several panels.
+class GemmRoundingProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(GemmRoundingProperty, OneRoundingRuleForAllKernels) {
+  Rng rng(0x6E33A000u + static_cast<std::uint64_t>(GetParam()));
+  for (int iter = 0; iter < 100; ++iter) {
+    const std::size_t m = 1 + rng.uniform_index(70);
+    const std::size_t n = 1 + rng.uniform_index(100);
+    const std::size_t k = 1 + rng.uniform_index(iter % 10 == 0 ? 2000 : 90);
+    const bool accumulate = iter % 2 == 1;
+    SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n
+                                      << " accumulate=" << accumulate);
+    const auto a = random_matrix(m * k, rng);
+    const auto b = random_matrix(k * n, rng);
+    const auto c0 = accumulate ? random_matrix(m * n, rng) : std::vector<float>(m * n);
+    std::vector<float> at(k * m), bt(n * k);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
+
+    auto want = c0, got_at = c0, got_bt = c0;
+    gemm(a.data(), b.data(), want.data(), m, k, n, accumulate);
+    gemm_at(at.data(), b.data(), got_at.data(), m, k, n, accumulate);
+    gemm_bt(a.data(), bt.data(), got_bt.data(), m, k, n, accumulate);
+    ASSERT_EQ(std::memcmp(got_bt.data(), want.data(), m * n * sizeof(float)), 0)
+        << "gemm_bt(A, B^T) != gemm(A, B)";
+    ASSERT_EQ(std::memcmp(got_at.data(), want.data(), m * n * sizeof(float)), 0)
+        << "gemm_at(A^T, B) != gemm(A, B)";
+
+    // Rows [i0, i1) x columns [j0, j1) on their own, through gemm and gemm_bt.
+    const std::size_t i0 = rng.uniform_index(m), i1 = i0 + 1 + rng.uniform_index(m - i0);
+    const std::size_t j0 = rng.uniform_index(n), j1 = j0 + 1 + rng.uniform_index(n - j0);
+    const std::size_t bm = i1 - i0, bn = j1 - j0;
+    const float* a_rows = a.data() + i0 * k;
+    const float* bt_rows = bt.data() + j0 * k;
+    std::vector<float> b_cols(k * bn), c_block(bm * bn);
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < bn; ++j) b_cols[p * bn + j] = b[p * n + j0 + j];
+    for (std::size_t i = 0; i < bm; ++i)
+      for (std::size_t j = 0; j < bn; ++j) c_block[i * bn + j] = c0[(i0 + i) * n + j0 + j];
+    auto block = c_block, block_bt = c_block;
+    gemm(a_rows, b_cols.data(), block.data(), bm, k, bn, accumulate);
+    gemm_bt(a_rows, bt_rows, block_bt.data(), bm, k, bn, accumulate);
+    for (std::size_t i = 0; i < bm; ++i)
+      for (std::size_t j = 0; j < bn; ++j) {
+        const float whole = want[(i0 + i) * n + j0 + j];
+        ASSERT_EQ(std::memcmp(&block[i * bn + j], &whole, sizeof(float)), 0)
+            << "gemm block element (" << i0 + i << ", " << j0 + j << ")";
+        ASSERT_EQ(std::memcmp(&block_bt[i * bn + j], &whole, sizeof(float)), 0)
+            << "gemm_bt block element (" << i0 + i << ", " << j0 + j << ")";
+      }
+
+    // Within float summation error of the double-precision product, which
+    // bounds all three kernels since they agree bit for bit: (k + 1) terms,
+    // each off by at most one rounding of the running sum.
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        double exact = c0[i * n + j];
+        double mag = std::fabs(exact);
+        for (std::size_t p = 0; p < k; ++p) {
+          const double term = double(a[i * k + p]) * b[p * n + j];
+          exact += term;
+          mag += std::fabs(term);
+        }
+        const double tol = double(k + 1) * FLT_EPSILON * mag + FLT_MIN;
+        ASSERT_NEAR(want[i * n + j], exact, tol) << "at (" << i << ", " << j << ")";
+      }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GemmRoundingProperty, ::testing::Range(0, 10));
 
 TEST(Im2Col, IdentityKernelIsCopy) {
   // 1x1 kernel, stride 1, no pad: cols == image.
