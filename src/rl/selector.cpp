@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <iterator>
 
 namespace afl {
 
@@ -35,8 +35,100 @@ std::vector<std::size_t> ClientSelector::level_entries(Level level) const {
   return out;
 }
 
-std::vector<double> ClientSelector::probabilities(
-    std::size_t model_index, const std::vector<bool>& taken) const {
+// One selection distribution in run form. Points are the touched and taken
+// clients, ascending, with their own reward (0 if taken); clients between two
+// points share `fresh`. Channel quality scales the clients it covers. Passes
+// recompute w_c / div (div = 1 gives w_c) in the order of a dense vector.
+struct ClientSelector::Weights {
+  const double* quality;  // covers clients [0, nq)
+  std::size_t nq;
+  std::size_t n;
+  std::vector<std::pair<std::size_t, double>> points;  // (client, reward)
+  double fresh = 0.0;
+  double total = 0.0;  // sum(1.0), after the uniform fallback
+
+  // Loops over a run of k equal values, one client at a time as a dense loop
+  // goes; out of line, as GCC 12 keeps an inlined run's accumulator in memory.
+  [[gnu::noinline]] static double add_run(double s, double v, std::size_t k) {
+    for (; k > 0; --k) s += v;
+    return s;
+  }
+  // Rounds h -= p * lp as a dense loop's h -= p * log(p) is, fused with FMA;
+  // spelled out because a run's loop-invariant p * lp would be hoisted and rounded.
+  [[gnu::noinline]] static double entropy_run(double h, double p, double lp, std::size_t k) {
+#ifdef __FP_FAST_FMA
+    for (; k > 0; --k) h = std::fma(-p, lp, h);
+#else
+    for (; k > 0; --k) h -= p * lp;
+#endif
+    return h;
+  }
+  // Subtracts v from r until it drops below zero; returns how many of the k
+  // subtractions left it non-negative.
+  [[gnu::noinline]] static std::size_t scan_run(double& r, double v, std::size_t k) {
+    std::size_t i = 0;
+    while (i < k && !((r -= v) < 0.0)) ++i;
+    return i;
+  }
+
+  // Out of line so no caller fuses the product into a sum: a dense weight
+  // vector rounds each weight to a double before it is added.
+  [[gnu::noinline]] double value(std::size_t c, double reward, double div) const {
+    return (c < nq ? reward * std::max(quality[c], 0.0) : reward) / div;
+  }
+
+  // Calls run(b, e, v) in client order for each run [b, e) of clients weighing
+  // v each (points, quality-scaled clients: runs of one) until it returns true.
+  template <typename Run>
+  bool walk(double div, Run&& run) const {
+    std::size_t b = 0;
+    const auto gap = [&](std::size_t e) {
+      for (; b < e && b < nq; ++b) {
+        if (run(b, b + 1, value(b, fresh, div))) return true;
+      }
+      return b < e && run(b, e, fresh / div);
+    };
+    for (const auto& [c, reward] : points) {
+      if (gap(c) || run(c, c + 1, value(c, reward, div))) return true;
+      b = c + 1;
+    }
+    return gap(n);
+  }
+
+  double sum(double div) const {
+    double s = 0.0;
+    walk(div, [&](std::size_t b, std::size_t e, double v) {
+      s = add_run(s, v, e - b);
+      return false;
+    });
+    return s;
+  }
+
+  // Rng::categorical's scan over p_c = w_c / total: the first client at which
+  // r -= p_c drops below zero, else the last with p_c > 0, else the last.
+  std::size_t pick(double r) const {
+    std::size_t hit = n - 1;
+    walk(total, [&](std::size_t b, std::size_t e, double v) {
+      const std::size_t c = b + scan_run(r, v, e - b);
+      if (c < e || v > 0.0) hit = std::min(c, e - 1);
+      return c < e;
+    });
+    return hit;
+  }
+
+  // Sum of -p log p in dense order, with one logarithm per run.
+  double entropy() const {
+    double h = 0.0;
+    walk(total, [&](std::size_t b, std::size_t e, double p) {
+      if (p > 0.0) h = entropy_run(h, p, std::log(p), e - b);
+      return false;
+    });
+    return h;
+  }
+};
+
+ClientSelector::Weights ClientSelector::weights(std::size_t model_index,
+                                                const std::vector<bool>& taken) const {
   const Level type = pool_.entry(model_index).level;
   const std::vector<std::size_t> entries = level_entries(type);
   const auto reward_of = [&](std::size_t c) {
@@ -52,62 +144,63 @@ std::vector<double> ClientSelector::probabilities(
     }
     return 0.0;
   };
-  std::vector<double> weights(num_clients_, 0.0);
-  // Scale-out fast path: every never-dispatched client reads all-1.0 tables,
-  // so its reward is the same value — compute it once for the (at 10^5-10^6
-  // clients, vast) untouched majority instead of per client.
-  double fresh_w = -1.0;
-  for (std::size_t c = 0; c < num_clients_; ++c) {
-    if (c < taken.size() && taken[c]) continue;
-    if (tables_.untouched(c)) {
-      if (fresh_w < 0.0) fresh_w = reward_of(c);
-      weights[c] = fresh_w;
-    } else {
-      weights[c] = reward_of(c);
-    }
+  // The points: taken clients (one scan of the mask) and touched ones.
+  std::vector<std::size_t> taken_ids, ids;
+  const auto first = taken.begin();
+  const auto end = first + static_cast<std::ptrdiff_t>(std::min(taken.size(), num_clients_));
+  for (auto it = std::find(first, end, true); it != end; it = std::find(it + 1, end, true)) {
+    taken_ids.push_back(static_cast<std::size_t>(it - first));
   }
-  if (!channel_quality_.empty()) {
-    // Channel-state observation feature: discount each candidate by its
-    // (normalized) channel quality. Applied outside the untouched fast path
-    // because quality varies per client even when rewards do not.
-    for (std::size_t c = 0; c < num_clients_ && c < channel_quality_.size(); ++c) {
-      weights[c] *= std::max(channel_quality_[c], 0.0);
-    }
-  }
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) {
+  const std::vector<std::size_t>& touched = tables_.touched();
+  std::set_union(taken_ids.begin(), taken_ids.end(), touched.begin(), touched.end(),
+                 std::back_inserter(ids));
+  const auto is_taken = [&](std::size_t c) { return c < taken.size() && taken[c]; };
+  Weights w{channel_quality_.data(), std::min(channel_quality_.size(), num_clients_),
+            num_clients_, {}};
+  for (std::size_t c : ids) w.points.emplace_back(c, is_taken(c) ? 0.0 : reward_of(c));
+  // Every untouched client reads all-1.0 tables, so the first one's reward
+  // is the reward of all of them.
+  std::size_t first_fresh = 0;
+  for (std::size_t c : touched) first_fresh += c == first_fresh;
+  if (first_fresh < num_clients_) w.fresh = reward_of(first_fresh);
+  w.total = w.sum(1.0);
+  if (w.total <= 0.0) {
     // Every candidate has zero reward: fall back to uniform over untaken
     // clients so a model is still dispatched.
-    for (std::size_t c = 0; c < num_clients_; ++c) {
-      weights[c] = (c < taken.size() && taken[c]) ? 0.0 : 1.0;
-    }
-    total = 0.0;
-    for (double w : weights) total += w;
-    if (total <= 0.0) return weights;  // all clients taken
+    for (auto& [c, reward] : w.points) reward = is_taken(c) ? 0.0 : 1.0;
+    w.fresh = 1.0;
+    w.nq = 0;
+    w.total = w.sum(1.0);
   }
-  for (double& w : weights) w /= total;
-  return weights;
+  return w;
+}
+
+std::vector<double> ClientSelector::probabilities(
+    std::size_t model_index, const std::vector<bool>& taken) const {
+  const Weights w = weights(model_index, taken);
+  std::vector<double> probs(num_clients_, 0.0);
+  if (w.total <= 0.0) return probs;  // all clients taken
+  w.walk(w.total, [&](std::size_t b, std::size_t e, double v) {
+    for (; b < e; ++b) probs[b] = v;
+    return false;
+  });
+  return probs;
 }
 
 double ClientSelector::selection_entropy(std::size_t model_index) const {
   if (num_clients_ < 2) return 0.0;
-  const std::vector<double> probs = probabilities(model_index, {});
-  double h = 0.0;
-  for (double p : probs) {
-    if (p > 0.0) h -= p * std::log(p);
-  }
+  const Weights w = weights(model_index, {});
+  const double h = w.total <= 0.0 ? 0.0 : w.entropy();
   return h / std::log(static_cast<double>(num_clients_));
 }
 
 std::optional<std::size_t> ClientSelector::select(std::size_t model_index,
                                                   const std::vector<bool>& taken,
                                                   Rng& rng) const {
-  const std::vector<double> probs = probabilities(model_index, taken);
-  double total = 0.0;
-  for (double p : probs) total += p;
-  if (total <= 0.0) return std::nullopt;
-  return rng.categorical(probs);
+  const Weights w = weights(model_index, taken);
+  const double psum = w.total <= 0.0 ? 0.0 : w.sum(w.total);  // 0: all taken
+  if (psum <= 0.0) return std::nullopt;
+  return w.pick(rng.uniform() * psum);
 }
 
 }  // namespace afl

@@ -1,5 +1,9 @@
 #pragma once
 // Client selection strategies (§3.3 + the Figure 5 ablation variants).
+//
+// No per-client array is stored: each pass walks the clients in order, touched
+// and taken ones with their own weight, each gap between them a run sharing
+// one, adding the doubles a dense weight vector would (docs/HIERARCHY.md).
 
 #include <optional>
 #include <vector>
@@ -40,7 +44,8 @@ class ClientSelector {
 
   /// Picks a client for pool entry `model_index`, excluding clients whose
   /// slot in `taken` is true (each client trains at most one model per
-  /// round). Returns nullopt when no client is available.
+  /// round). Returns nullopt when no client is available. Draws exactly as
+  /// Rng::categorical(probabilities(model_index, taken)) would.
   std::optional<std::size_t> select(std::size_t model_index,
                                     const std::vector<bool>& taken, Rng& rng) const;
 
@@ -59,6 +64,9 @@ class ClientSelector {
   double selection_entropy(std::size_t model_index) const;
 
  private:
+  struct Weights;  // the run form of one selection distribution (selector.cpp)
+  Weights weights(std::size_t model_index, const std::vector<bool>& taken) const;
+
   const ModelPool& pool_;
   std::size_t num_clients_;
   SelectionStrategy strategy_;

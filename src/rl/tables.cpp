@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -34,10 +35,15 @@ double RlTables::read(const Row& row, std::size_t client) const {
 }
 
 double& RlTables::cell(Row& row, std::size_t client) {
+  return row.try_emplace(client, 1.0).first->second;
+}
+
+void RlTables::touch(std::size_t client) {
   if (client >= num_clients_) {
     throw std::out_of_range("RlTables: client index out of range");
   }
-  return row.try_emplace(client, 1.0).first->second;
+  const auto it = std::lower_bound(touched_.begin(), touched_.end(), client);
+  if (it == touched_.end() || *it != client) touched_.insert(it, client);
 }
 
 double RlTables::curiosity(Level type, std::size_t client) const {
@@ -50,16 +56,16 @@ double RlTables::resource_score(std::size_t entry, std::size_t client) const {
 
 void RlTables::update(std::size_t sent, Level sent_type, std::size_t back,
                       Level back_type, std::size_t client) {
-  if (back > sent) {
-    throw std::invalid_argument("RlTables::update: returned model grew");
+  if (back > sent || sent >= pool_size_) {
+    throw std::invalid_argument("RlTables::update: returned model grew or entry out of range");
   }
+  touch(client);
   rl_updates().inc();
   obs::TraceSpan span("rl_update");
   span.field("outcome", back == sent ? "full" : "pruned")
       .field("client", static_cast<std::uint64_t>(client))
       .field("sent", static_cast<std::uint64_t>(sent))
       .field("back", static_cast<std::uint64_t>(back));
-  touched_.insert(client);
   // Lines 12-13: curiosity counts for both the sent and the returned type.
   cell(tc_[static_cast<std::size_t>(sent_type)], client) += 1.0;
   cell(tc_[static_cast<std::size_t>(back_type)], client) += 1.0;
@@ -83,12 +89,12 @@ void RlTables::update(std::size_t sent, Level sent_type, std::size_t back,
 }
 
 void RlTables::update_failure(std::size_t sent, Level sent_type, std::size_t client) {
+  touch(client);
   rl_updates().inc();
   obs::TraceSpan span("rl_update");
   span.field("outcome", "failure")
       .field("client", static_cast<std::uint64_t>(client))
       .field("sent", static_cast<std::uint64_t>(sent));
-  touched_.insert(client);
   cell(tc_[static_cast<std::size_t>(sent_type)], client) += 1.0;
   for (std::size_t t = sent; t < pool_size_; ++t) {
     double& v = cell(tr_[t], client);
@@ -97,11 +103,11 @@ void RlTables::update_failure(std::size_t sent, Level sent_type, std::size_t cli
 }
 
 void RlTables::update_no_response(Level sent_type, std::size_t client) {
+  touch(client);
   rl_updates().inc();
   obs::TraceSpan span("rl_update");
   span.field("outcome", "no_response")
       .field("client", static_cast<std::uint64_t>(client));
-  touched_.insert(client);
   cell(tc_[static_cast<std::size_t>(sent_type)], client) += 1.0;
 }
 
@@ -162,27 +168,34 @@ RlTables::Dump RlTables::dump() const {
   emit(tc_, 0);
   emit(tr_, tc_.size());
   std::sort(d.cells.begin(), d.cells.end());
-  d.touched.assign(touched_.begin(), touched_.end());
-  std::sort(d.touched.begin(), d.touched.end());
+  d.touched = touched_;
   return d;
 }
 
 void RlTables::restore(const Dump& dump) {
-  for (Row& row : tc_) row.clear();
-  for (Row& row : tr_) row.clear();
-  touched_.clear();
-  for (const auto& [row_d, client_d, v] : dump.cells) {
-    const std::size_t row = static_cast<std::size_t>(row_d);
-    const std::size_t client = static_cast<std::size_t>(client_d);
-    if (row < tc_.size()) {
-      cell(tc_[row], client) = v;
-    } else if (row - tc_.size() < tr_.size()) {
-      cell(tr_[row - tc_.size()], client) = v;
-    } else {
-      throw std::out_of_range("RlTables::restore: row index out of range");
+  // Rebuilt aside and committed only once the whole dump checks out. Rows and
+  // clients must be integers in range (no other double may reach a size_t
+  // cast), values finite and >= 0, touched clients strictly ascending.
+  const auto index_ok = [](double x, std::size_t limit) {
+    return x >= 0.0 && x < static_cast<double>(limit) && x == std::floor(x);
+  };
+  std::vector<Row> tc(tc_.size()), tr(tr_.size());
+  for (const auto& [row, client, v] : dump.cells) {
+    if (!index_ok(row, tc.size() + tr.size()) || !index_ok(client, num_clients_) ||
+        !(std::isfinite(v) && v >= 0.0)) {
+      throw std::invalid_argument("RlTables::restore: malformed cell");
     }
+    const auto r = static_cast<std::size_t>(row);
+    (r < tc.size() ? tc[r] : tr[r - tc.size()])[static_cast<std::size_t>(client)] = v;
   }
-  touched_.insert(dump.touched.begin(), dump.touched.end());
+  const std::vector<std::size_t>& t = dump.touched;
+  if ((!t.empty() && t.back() >= num_clients_) ||
+      std::adjacent_find(t.begin(), t.end(), std::greater_equal<>()) != t.end()) {
+    throw std::invalid_argument("RlTables::restore: touched clients not ascending in range");
+  }
+  tc_ = std::move(tc);
+  tr_ = std::move(tr);
+  touched_ = t;
 }
 
 double RlTables::reward(const std::vector<std::size_t>& level_entries, Level type,

@@ -10,15 +10,14 @@
 // Storage is sparse: rows only materialize cells for clients that received at
 // least one update; absent cells read as the initial 1.0. At scale-out
 // populations (10^5-10^6 clients, docs/HIERARCHY.md) only the cohorts ever
-// dispatched occupy memory, and untouched(client) lets the selector share one
-// reward computation across the untouched majority. All cell values stay
+// dispatched occupy memory, and touched() (ascending) lets the selector share
+// one reward across each run of untouched clients. All cell values stay
 // integer-valued doubles, so every derived quantity (rewards, row means) is
 // bit-identical to the former dense representation.
 
 #include <array>
 #include <cstddef>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "prune/model_pool.hpp"
@@ -36,15 +35,14 @@ class RlTables {
   double curiosity(Level type, std::size_t client) const;
   double resource_score(std::size_t entry, std::size_t client) const;
 
-  /// True iff no update ever touched `client`: every table cell still reads
-  /// the initial 1.0, so its reward equals any other untouched client's.
-  bool untouched(std::size_t client) const {
-    return touched_.find(client) == touched_.end();
-  }
+  /// Clients some update touched, ascending. Every other client's cells still
+  /// read the initial 1.0, so all untouched clients share one reward.
+  const std::vector<std::size_t>& touched() const { return touched_; }
 
   /// Algorithm 1 lines 12-26: record a dispatch of pool entry `sent` to
   /// `client` that came back as entry `back` (back == sent when the device
-  /// did not prune; back < sent when it adaptively pruned).
+  /// did not prune; back < sent when it adaptively pruned). All three updates
+  /// throw for a client >= num_clients() before changing any state.
   void update(std::size_t sent, Level sent_type, std::size_t back, Level back_type,
               std::size_t client);
 
@@ -86,7 +84,8 @@ class RlTables {
     std::vector<std::size_t> touched;  // sorted client ids
   };
   Dump dump() const;
-  /// Restores a dump into this table (shape must match the constructor).
+  /// Restores a dump into this table. A dump that does not fit its shape
+  /// (see restore()) throws std::invalid_argument and changes nothing.
   void restore(const Dump& dump);
 
  private:
@@ -95,12 +94,13 @@ class RlTables {
 
   double read(const Row& row, std::size_t client) const;
   double& cell(Row& row, std::size_t client);
+  void touch(std::size_t client);  // range check first, then add to touched_
 
   std::size_t pool_size_, p_, num_clients_;
   // T_c: 3 x |C|; T_r: (2p+1) x |C|; rows materialize lazily.
   std::vector<Row> tc_;
   std::vector<Row> tr_;
-  std::unordered_set<std::size_t> touched_;
+  std::vector<std::size_t> touched_;  // ascending
 };
 
 }  // namespace afl

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv.hpp"
@@ -110,13 +114,24 @@ TEST(Linear, MatrixVector) {
 }
 
 TEST(ReLU, ClampsNegative) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Output bits: -0.0 and NaN map to +0.0, +inf passes, -inf clamps.
+  const std::vector<float> in = {-1, 0, 2, -3, -0.0f, nan, inf, -inf};
+  const std::vector<float> want = {0, 0, 2, 0, 0, 0, inf, 0};
+  for (bool train : {false, true}) {
+    ReLU relu;
+    Tensor x = Tensor::from_vector({1, 8}, in);
+    Tensor out = relu.forward(x, train);
+    ASSERT_EQ(std::memcmp(out.data(), want.data(), want.size() * sizeof(float)), 0)
+        << "train=" << train;
+  }
+  // Train mode masks the backward pass to the strictly positive inputs.
   ReLU relu;
-  Tensor x = Tensor::from_vector({1, 4}, {-1, 0, 2, -3});
-  Tensor out = relu.forward(x, false);
-  EXPECT_FLOAT_EQ(out[0], 0.0f);
-  EXPECT_FLOAT_EQ(out[1], 0.0f);
-  EXPECT_FLOAT_EQ(out[2], 2.0f);
-  EXPECT_FLOAT_EQ(out[3], 0.0f);
+  relu.forward(Tensor::from_vector({1, 8}, in), true);
+  Tensor grad = relu.backward(Tensor::full({1, 8}, 5.0f));
+  const std::vector<float> grad_want = {0, 0, 5, 0, 0, 0, 5, 0};
+  EXPECT_EQ(std::memcmp(grad.data(), grad_want.data(), grad_want.size() * sizeof(float)), 0);
 }
 
 TEST(MaxPool, PicksMaxima) {

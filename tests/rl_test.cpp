@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "arch/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "rl/selector.hpp"
 #include "rl/tables.hpp"
 
@@ -92,6 +96,65 @@ TEST(RlTables, ResourceRewardGrowsForCapableClient) {
   // Client 1 keeps failing down to S: its L reward shrinks.
   for (int i = 0; i < 5; ++i) t.update(6, Level::kLarge, 0, Level::kSmall, 1);
   EXPECT_LT(t.resource_reward(l_entries, 1), t.resource_reward(l_entries, 0));
+}
+
+TEST(RlTables, OutOfRangeUpdateChangesNothing) {
+  RlTables t(7, 3, 4);
+  t.update(3, Level::kMedium, 3, Level::kMedium, 1);
+  const RlTables::Dump before = t.dump();
+  const obs::Counter& updates = obs::metrics().counter("afl.rl.updates");
+  const std::uint64_t count = updates.value();
+  EXPECT_THROW(t.update(3, Level::kMedium, 3, Level::kMedium, 4), std::out_of_range);
+  EXPECT_THROW(t.update_failure(0, Level::kSmall, 4), std::out_of_range);
+  EXPECT_THROW(t.update_no_response(Level::kLarge, 4), std::out_of_range);
+  EXPECT_THROW(t.update(7, Level::kLarge, 6, Level::kLarge, 0), std::invalid_argument);
+  EXPECT_EQ(updates.value(), count);
+  EXPECT_EQ(t.dump().cells, before.cells);
+  EXPECT_EQ(t.touched(), std::vector<std::size_t>{1});
+}
+
+TEST(RlTables, TouchedAscendsAndRoundTrips) {
+  RlTables t(7, 3, 10);
+  for (std::size_t c : {7, 2, 9, 2, 0}) t.update_no_response(Level::kSmall, c);
+  EXPECT_EQ(t.touched(), (std::vector<std::size_t>{0, 2, 7, 9}));
+  RlTables copy(7, 3, 10);
+  copy.restore(t.dump());
+  EXPECT_EQ(copy.dump().cells, t.dump().cells);
+  EXPECT_EQ(copy.touched(), t.touched());
+}
+
+TEST(RlTables, RestoreRejectsTouchedOutOfRangeOrUnordered) {
+  RlTables t(7, 3, 4);
+  t.update(6, Level::kLarge, 2, Level::kSmall, 1);
+  const RlTables::Dump before = t.dump();
+  for (const std::vector<std::size_t>& touched :
+       {std::vector<std::size_t>{1, 1000000}, {4}, {2, 1}, {1, 1}}) {
+    RlTables::Dump bad = before;
+    bad.touched = touched;
+    EXPECT_THROW(t.restore(bad), std::invalid_argument);
+    EXPECT_EQ(t.dump().cells, before.cells);
+    EXPECT_EQ(t.touched(), before.touched);
+  }
+}
+
+TEST(RlTables, RestoreRejectsNonIntegerOrNegativeCells) {
+  RlTables t(7, 3, 4);
+  t.update(6, Level::kLarge, 2, Level::kSmall, 1);
+  const RlTables::Dump before = t.dump();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // (row, client, value) triples, each wrong in one field.
+  for (const std::array<double, 3>& cell :
+       std::vector<std::array<double, 3>>{{0, 2.5, 1},  {0, nan, 1}, {0, -1, 1},
+                                          {0, 4, 1},    {0, inf, 1}, {3.5, 0, 1},
+                                          {10, 0, 1},   {nan, 0, 1}, {-1, 0, 1},
+                                          {0, 0, nan},  {0, 0, inf}, {0, 0, -1}}) {
+    RlTables::Dump bad = before;
+    bad.cells.push_back(cell);
+    EXPECT_THROW(t.restore(bad), std::invalid_argument);
+    EXPECT_EQ(t.dump().cells, before.cells);
+    EXPECT_EQ(t.touched(), before.touched);
+  }
 }
 
 class SelectorFixture : public ::testing::Test {
@@ -190,6 +253,162 @@ TEST(Selector, CuriosityPrefersUnvisited) {
   EXPECT_LT(p[0], p[1]);
   EXPECT_NEAR(p[1], p[2], 1e-9);
 }
+
+// Dense reference for the selection arithmetic: one stored weight per client,
+// normalized, then Rng::categorical. Untouched clients share one reward
+// computation, as all-1.0 tables give them the same reward.
+std::vector<double> dense_probabilities(const ClientSelector& sel, const ModelPool& pool,
+                                        SelectionStrategy strategy, std::size_t m,
+                                        const std::vector<bool>& taken) {
+  const RlTables& t = sel.tables();
+  const std::size_t n = t.num_clients();
+  const Level type = pool.entry(m).level;
+  const std::vector<std::size_t> entries = sel.level_entries(type);
+  const auto reward_of = [&](std::size_t c) {
+    switch (strategy) {
+      case SelectionStrategy::kResourceCuriosity:
+        return t.reward(entries, type, c);
+      case SelectionStrategy::kCuriosityOnly:
+        return t.curiosity_reward(type, c);
+      case SelectionStrategy::kResourceOnly:
+        return std::min(0.5, t.resource_reward(entries, c));
+      case SelectionStrategy::kRandom:
+        return 1.0;
+    }
+    return 0.0;
+  };
+  std::vector<double> weights(n, 0.0);
+  double fresh_w = -1.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    if (c < taken.size() && taken[c]) continue;
+    if (!std::binary_search(t.touched().begin(), t.touched().end(), c)) {
+      if (fresh_w < 0.0) fresh_w = reward_of(c);
+      weights[c] = fresh_w;
+    } else {
+      weights[c] = reward_of(c);
+    }
+  }
+  const std::vector<double>& quality = sel.channel_quality();
+  for (std::size_t c = 0; c < n && c < quality.size(); ++c) {
+    weights[c] *= std::max(quality[c], 0.0);
+  }
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (total <= 0.0) {
+    for (std::size_t c = 0; c < n; ++c) {
+      weights[c] = (c < taken.size() && taken[c]) ? 0.0 : 1.0;
+    }
+    total = 0.0;
+    for (double w : weights) total += w;
+    if (total <= 0.0) return weights;
+  }
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+std::optional<std::size_t> dense_select(const std::vector<double>& probs, Rng& rng) {
+  double total = 0.0;
+  for (double p : probs) total += p;
+  if (total <= 0.0) return std::nullopt;
+  return rng.categorical(probs);
+}
+
+double dense_entropy(const std::vector<double>& probs) {
+  if (probs.size() < 2) return 0.0;
+  double h = 0.0;
+  for (double p : probs) {
+    if (p > 0.0) h -= p * std::log(p);
+  }
+  return h / std::log(static_cast<double>(probs.size()));
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_state(const Rng& a, const Rng& b) {
+  const Rng::State x = a.state(), y = b.state();
+  return std::equal(x.s, x.s + 4, y.s) && x.has_cached_normal == y.has_cached_normal &&
+         same_bits(x.cached_normal, y.cached_normal);
+}
+
+// Streaming selection equals the dense reference bit for bit: every pick, the
+// Rng state after it, probabilities() and selection_entropy(). Each case is
+// one (client count, strategy) pair under a seeded history of RL updates
+// (failures drive some touched clients to weight 0), four kinds of taken mask
+// and three kinds of channel quality (all-zero forces the uniform fallback).
+class SelectionMatchesDense : public ::testing::TestWithParam<int> {};
+
+TEST_P(SelectionMatchesDense, PicksProbabilitiesAndEntropy) {
+  constexpr std::size_t kSizes[] = {1, 2, 3, 50, 1000, 100000};
+  constexpr SelectionStrategy kStrategies[] = {
+      SelectionStrategy::kResourceCuriosity, SelectionStrategy::kCuriosityOnly,
+      SelectionStrategy::kResourceOnly, SelectionStrategy::kRandom};
+  const std::size_t n = kSizes[static_cast<std::size_t>(GetParam()) % 6];
+  const SelectionStrategy strategy = kStrategies[GetParam() / 6];
+  const ArchSpec spec = mini_vgg(10, 3, 16);
+  const ModelPool pool(spec, PoolConfig::defaults_for(spec));
+  ClientSelector sel(pool, n, strategy);
+  Rng rng(0x5E1EC7u + static_cast<std::uint64_t>(GetParam()));
+  const std::size_t last = pool.size() - 1;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const std::size_t updates = 1 + rng.uniform_index(std::min<std::size_t>(3 * n, 60));
+    for (std::size_t u = 0; u < updates; ++u) {
+      const std::size_t c = rng.uniform_index(n);
+      const std::size_t sent = rng.uniform_index(pool.size());
+      const Level sent_type = pool.entry(sent).level;
+      switch (rng.uniform_index(4)) {
+        case 0:
+          sel.tables().update_failure(rng.uniform_index(2) == 0 ? 0 : sent, sent_type, c);
+          break;
+        case 1:
+          sel.tables().update_no_response(sent_type, c);
+          break;
+        default: {
+          const std::size_t back = rng.uniform_index(sent + 1);
+          sel.tables().update(sent, sent_type, back, pool.entry(back).level, c);
+        }
+      }
+    }
+    for (int q = 0; q < 3; ++q) {
+      std::vector<double> quality;
+      if (q == 1) {
+        quality.resize(n - rng.uniform_index(std::min<std::size_t>(n, 2)));
+        for (double& x : quality) x = 1.0 - rng.uniform();  // (0, 1]
+      } else if (q == 2) {
+        quality.assign(n, 0.0);
+      }
+      sel.set_channel_quality(quality);
+      std::vector<std::vector<bool>> masks(4);
+      masks[1].resize(rng.uniform_index(n));
+      masks[2].resize(n + rng.uniform_index(3));
+      for (std::size_t k : {1, 2}) {
+        for (std::size_t c = 0; c < masks[k].size(); ++c) masks[k][c] = rng.uniform() < 0.3;
+      }
+      masks[3].assign(n, true);
+      for (const std::vector<bool>& taken : masks) {
+        for (std::size_t m : {rng.uniform_index(pool.size()), last}) {
+          const std::vector<double> dense = dense_probabilities(sel, pool, strategy, m, taken);
+          const std::vector<double> streamed = sel.probabilities(m, taken);
+          ASSERT_EQ(streamed.size(), dense.size());
+          ASSERT_EQ(std::memcmp(streamed.data(), dense.data(), n * sizeof(double)), 0)
+              << "n=" << n << " m=" << m << " quality=" << q;
+          for (int draw = 0; draw < 3; ++draw) {
+            Rng a(rng.next_u64());
+            Rng b = a;
+            ASSERT_EQ(sel.select(m, taken, a), dense_select(dense, b)) << "n=" << n;
+            ASSERT_TRUE(same_state(a, b));
+          }
+        }
+      }
+      for (std::size_t m = 0; m < pool.size(); ++m) {
+        const double dense = dense_entropy(dense_probabilities(sel, pool, strategy, m, {}));
+        ASSERT_TRUE(same_bits(sel.selection_entropy(m), dense))
+            << "n=" << n << " m=" << m << " quality=" << q;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SizesAndStrategies, SelectionMatchesDense, ::testing::Range(0, 24));
 
 TEST(Selector, StrategyNames) {
   EXPECT_STREQ(selection_strategy_name(SelectionStrategy::kResourceCuriosity), "CS");
