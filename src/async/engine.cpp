@@ -6,11 +6,13 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "async/aggregator.hpp"
 #include "async/virtual_clock.hpp"
 #include "compress/compressor.hpp"
+#include "engine/dispatch.hpp"
 #include "engine/lifecycle.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
@@ -25,36 +27,10 @@
 namespace afl::async {
 namespace {
 
-/// Why a dispatch's kFailure event was scheduled. Enumerator order is part of
-/// the snapshot format (serialized as an integer) — append only.
-enum class FailKind {
-  kNoResponse,
-  kAdaptFailed,
-  kLostDownlink,
-  kLostUplink,
-  kDeparted,  // population churn: client left the fleet (docs/POPULATION.md)
-  kWentDark,  // population churn: client temporarily unreachable
-};
+using engine::Dispatch;
+using engine::DispatchFailure;
 
-/// One in-flight dispatch, keyed by its dispatch id. Stored in a std::map so
-/// training waves iterate in dispatch order (determinism).
-struct Pending {
-  ClientSlot slot;
-  net::Transport::Session sess;
-  std::unique_ptr<ParamSet> rx;  // decoded downlink payload (slot.rx target)
-  TrainOutcome outcome;
-  bool accepted = false;  // survived availability / adapt / downlink
-  bool trained = false;
-  std::size_t version = 0;  // global version the dispatch was split from
-  double dispatch_time = 0.0;
-  std::size_t reuploads_left = 0;
-  FailKind fail = FailKind::kNoResponse;
-  /// Sparse uplink (src/compress/): the reference the masked delta was coded
-  /// against, frozen at encode time so async staleness cannot skew decoding.
-  std::unique_ptr<ParamSet> upref;
-};
-
-// ---- Pending serialization (engine snapshots, docs/POPULATION.md) ---------
+// ---- In-flight serialization (engine snapshots, docs/POPULATION.md) --------
 // A snapshot is cut at a flush boundary, so the aggregation buffer is empty
 // but up to `concurrency` dispatches are mid-flight: their slots, channel
 // sessions (RNG position + clock), decoded downlinks, and — when the lazy
@@ -85,9 +61,8 @@ void read_slot(SnapshotReader& r, ClientSlot& s) {
   s.params_back = r.u64();
 }
 
-void write_pending(SnapshotWriter& w, std::size_t id, const Pending& p,
-                   bool compress_on) {
-  w.u64(id);
+void write_pending(SnapshotWriter& w, const Dispatch& p, bool compress_on) {
+  w.u64(p.id);
   write_slot(w, p.slot);
   const Rng::State st = p.sess.rng_state();
   for (int i = 0; i < 4; ++i) w.u64(st.s[i]);
@@ -98,7 +73,7 @@ void write_pending(SnapshotWriter& w, std::size_t id, const Pending& p,
   w.f64(p.sess.elapsed_seconds());
   w.u64(p.sess.clock().compute_charged() ? 1 : 0);
   w.u64(p.version);
-  w.f64(p.dispatch_time);
+  w.f64(p.base);
   w.u64(p.reuploads_left);
   w.u64(p.accepted ? 1 : 0);
   w.u64(p.trained ? 1 : 0);
@@ -121,8 +96,8 @@ void write_pending(SnapshotWriter& w, std::size_t id, const Pending& p,
   }
 }
 
-std::size_t read_pending(SnapshotReader& r, Pending& p, bool compress_on) {
-  const std::size_t id = static_cast<std::size_t>(r.u64());
+void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
+  p.id = static_cast<std::size_t>(r.u64());
   read_slot(r, p.slot);
   Rng::State st;
   for (int i = 0; i < 4; ++i) st.s[i] = r.u64();
@@ -134,12 +109,12 @@ std::size_t read_pending(SnapshotReader& r, Pending& p, bool compress_on) {
   const bool compute_charged = r.u64() != 0;
   p.sess.restore(sess_round, sess_client, st, elapsed, compute_charged);
   p.version = r.u64();
-  p.dispatch_time = r.f64();
+  p.base = r.f64();
   p.reuploads_left = r.u64();
   p.accepted = r.u64() != 0;
   p.trained = r.u64() != 0;
-  p.fail = static_cast<FailKind>(r.u64());
-  p.sess.set_lifecycle_tags(static_cast<long long>(id), -1,
+  p.fail = engine::decode_failure(r.u64());
+  p.sess.set_lifecycle_tags(static_cast<long long>(p.id), -1,
                             static_cast<long long>(p.version));
   if (r.u64() != 0) {
     p.rx = std::make_unique<ParamSet>(r.params());
@@ -155,7 +130,6 @@ std::size_t read_pending(SnapshotReader& r, Pending& p, bool compress_on) {
   if (compress_on && r.u64() != 0) {
     p.upref = std::make_unique<ParamSet>(r.params());
   }
-  return id;
 }
 
 }  // namespace
@@ -212,14 +186,13 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
   EventQueue queue;
   AsyncAggregator agg(async_.buffer_size, async_.staleness_alpha,
                       async_.max_staleness);
-  std::map<std::size_t, Pending> pending;
+  std::map<std::size_t, Dispatch> pending;  // in flight, by dispatch id
   std::size_t next_dispatch = 1;
   std::size_t flushes = 0;
   double last_flush_time = 0.0;
 
   // Dispatch-lifecycle tracing (afl.trace.v2): the event engine always
-  // models time, so the tracker is unconditionally active. The dispatch
-  // counter doubles as the stable lifecycle id (it already keys slot.round).
+  // models time, so the tracker is unconditionally active.
   engine::LifecycleTracker lifecycle(true);
 
   // Sparsifying uplink + error feedback (src/compress/, docs/COMPRESSION.md).
@@ -245,15 +218,18 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     policy.restore_state(reader);
     const std::uint64_t n_pending = reader.u64();
     for (std::uint64_t i = 0; i < n_pending; ++i) {
-      Pending p;
-      const std::size_t id = read_pending(reader, p, compressor.enabled());
+      Dispatch p;
+      read_pending(reader, p, compressor.enabled());
+      if (devices_ != nullptr && p.slot.client >= devices_->size()) {
+        throw std::runtime_error("snapshot: in-flight dispatch to a client outside the fleet");
+      }
       // The client is still in flight: re-mark it busy and reopen its
       // lifecycle record (earlier phases were flushed with the old process;
       // blame attribution restarts, bit-identity of the result does not).
       policy.set_client_busy(p.slot.client, true);
-      lifecycle.begin(id, id, p.slot.client, p.dispatch_time, /*shard=*/-1,
+      lifecycle.begin(p.id, p.id, p.slot.client, p.base, /*shard=*/-1,
                       static_cast<long long>(p.version));
-      pending.emplace(id, std::move(p));
+      pending.emplace(p.id, std::move(p));
     }
     const std::uint64_t n_events = reader.u64();
     std::vector<Event> events(n_events);
@@ -262,7 +238,23 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       e.dispatch = reader.u64();
       e.client = reader.u64();
       e.seq = reader.u64();
-      e.kind = static_cast<EventKind>(reader.u64());
+      const std::uint64_t kind = reader.u64();
+      // The event loop replays every event against its dispatch's state.
+      const auto it = pending.find(e.dispatch);
+      const char* bad = nullptr;
+      if (kind > static_cast<std::uint64_t>(EventKind::kFailure)) {
+        bad = "unknown event kind";
+      } else if (it == pending.end()) {
+        bad = "its dispatch is not in flight";
+      } else if (it->second.slot.client != e.client) {
+        bad = "its client is not its dispatch's";
+      }
+      if (bad != nullptr) {
+        throw std::runtime_error("snapshot: async event (kind " + std::to_string(kind) +
+                                 ", dispatch " + std::to_string(e.dispatch) + ", client " +
+                                 std::to_string(e.client) + "): " + bad);
+      }
+      e.kind = static_cast<EventKind>(kind);
     }
     queue.restore(std::move(events), reader.u64());
     reader.expect_end();
@@ -275,114 +267,35 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     engine::trace_churn(flushes + 1, population_->round_churn(flushes + 1));
   }
 
-  // Keeps `concurrency` dispatches in flight. All RNG draws (model/client
-  // selection, capacity, availability, transport streams) happen here on the
-  // engine thread, in event order.
+  engine::Dispatcher dispatcher{"AsyncEngine", policy, devices_, transport_,
+                                compressor, lifecycle, result};
+
+  // Keeps `concurrency` dispatches in flight, drawing every RNG value on the
+  // engine thread in event order. The dispatch id doubles as the slot's
+  // "round" key and the lifecycle id; churn presence is keyed by the flush
+  // window, the async analogue of the sync round.
   auto top_up = [&]() {
     AFL_PROF_SPAN("async.top_up");
     while (pending.size() < async_.concurrency) {
-      ClientSlot s;
-      s.round = next_dispatch;  // dispatch id doubles as the "round" key
-      s.slot = 0;
-      if (!policy.select(s, rng)) break;  // every free client is in flight
-      if (devices_ != nullptr) {
-        if (s.client >= devices_->size()) {
-          throw std::logic_error("AsyncEngine: policy selected client " +
-                                 std::to_string(s.client) + " outside the fleet");
-        }
-        s.capacity = (*devices_)[s.client].capacity(rng);
-      } else {
-        s.capacity = static_cast<std::size_t>(-1);
-      }
-      policy.adapt(s);
-      // Same accounting rule as the synchronous engine: the dispatch is on
-      // the wire before the server learns anything about the device.
-      result.comm.record_dispatch(s.params_sent);
+      Dispatch d;
+      d.slot.round = next_dispatch;
+      if (!dispatcher.draw(d.slot, rng)) break;  // every free client is in flight
+      policy.adapt(d.slot);
       dispatch_counter.inc();
-
-      Pending p;
-      p.slot = s;
-      p.version = agg.version();
-      p.dispatch_time = clock.now();
-      p.reuploads_left = async_.max_reuploads;
-      lifecycle.begin(s.round, s.round, s.client, clock.now(), /*shard=*/-1,
-                      static_cast<long long>(p.version));
-
-      if (devices_ != nullptr) {
-        // Population churn (src/pop/, docs/POPULATION.md): presence is keyed
-        // by the flush window (the async analogue of the sync round). A
-        // departed or dark client is dispatched to but never replies; no RNG
-        // draw happens for it, so enabling churn never shifts the streams of
-        // the clients that are present.
-        const PresenceSchedule::State presence =
-            (*devices_)[s.client].presence_state(flushes + 1);
-        if (presence != PresenceSchedule::State::kPresent) {
-          p.fail = presence == PresenceSchedule::State::kAbsent
-                       ? FailKind::kDeparted
-                       : FailKind::kWentDark;
-          if (p.fail == FailKind::kDeparted) compressor.on_departed(s.client);
-          queue.push({clock.now() + async_.failure_timeout_s, s.round, s.client,
-                      0, EventKind::kFailure});
-          pending.emplace(s.round, std::move(p));
-          ++next_dispatch;
-          continue;
-        }
+      d.id = next_dispatch;
+      d.version = agg.version();
+      d.base = clock.now();
+      d.reuploads_left = async_.max_reuploads;
+      const engine::Admission admission = dispatcher.admit(d, rng, flushes + 1);
+      d.accepted = !admission.failure;
+      if (d.accepted) {
+        queue.push({admission.at, d.id, d.slot.client, 0, EventKind::kUpload});
+      } else {  // the server learns of a failure when its timeout expires
+        d.fail = *admission.failure;
+        queue.push({admission.at + async_.failure_timeout_s, d.id, d.slot.client, 0,
+                    EventKind::kFailure});
       }
-      if (devices_ != nullptr && !(*devices_)[s.client].responds(rng)) {
-        p.fail = FailKind::kNoResponse;
-        queue.push({clock.now() + async_.failure_timeout_s, s.round, s.client,
-                    0, EventKind::kFailure});
-        pending.emplace(s.round, std::move(p));
-        ++next_dispatch;
-        continue;
-      }
-      if (!s.trainable) {
-        p.fail = FailKind::kAdaptFailed;
-        queue.push({clock.now() + async_.failure_timeout_s, s.round, s.client,
-                    0, EventKind::kFailure});
-        pending.emplace(s.round, std::move(p));
-        ++next_dispatch;
-        continue;
-      }
-      double ready_at = clock.now();
-      if (transport_.enabled()) {
-        p.sess = transport_.session(s.round, s.client);
-        p.sess.set_lifecycle_tags(static_cast<long long>(s.round), -1,
-                                  static_cast<long long>(p.version));
-        net::Delivery down =
-            transport_.send(p.sess, net::FrameKind::kDispatch,
-                            policy.dispatch_params(s), s.params_sent);
-        engine::record_transfer(result.comm, down.transfer, /*uplink=*/false);
-        lifecycle.phase(s.round, engine::kPhaseDownlink, clock.now(),
-                        clock.now() + p.sess.elapsed_seconds(),
-                        down.transfer.attempts, down.transfer.backoff_seconds,
-                        down.transfer.bytes);
-        if (!down.transfer.delivered) {
-          p.fail = FailKind::kLostDownlink;
-          queue.push({clock.now() + p.sess.elapsed_seconds() +
-                          async_.failure_timeout_s,
-                      s.round, s.client, 0, EventKind::kFailure});
-          pending.emplace(s.round, std::move(p));
-          ++next_dispatch;
-          continue;
-        }
-        if (!down.params.empty()) {
-          p.rx = std::make_unique<ParamSet>(std::move(down.params));
-          p.slot.rx = p.rx.get();
-        }
-        // Local compute charged exactly once per dispatch (ClientClock):
-        // later re-uploads re-pay transfer only, never the training.
-        const double down_end = clock.now() + p.sess.elapsed_seconds();
-        p.sess.clock().charge_compute(transport_.compute_seconds(s.params_back));
-        lifecycle.phase(s.round, engine::kPhaseCompute, down_end,
-                        clock.now() + p.sess.elapsed_seconds());
-        ready_at += p.sess.elapsed_seconds();
-      }
-      policy.on_accepted(p.slot);
-      p.accepted = true;
-      queue.push({ready_at, s.round, s.client, 0, EventKind::kUpload});
-      pending.emplace(s.round, std::move(p));
-      ++next_dispatch;
+      pending.emplace(next_dispatch++, std::move(d));
     }
   };
 
@@ -390,7 +303,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
   // wave. Wave membership is a pure function of event order and execute() is
   // pure, so eager-vs-lazy scheduling cannot change any result bit.
   auto train_wave = [&]() {
-    std::vector<Pending*> wave;
+    std::vector<Dispatch*> wave;
     for (auto& [id, p] : pending) {
       if (p.accepted && !p.trained) wave.push_back(&p);
     }
@@ -398,7 +311,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     AFL_PROF_SPAN("async.train_wave");
     pool.parallel_for(wave.size(), [&](std::size_t i) {
       AFL_PROF_SPAN("async.client_train");
-      Pending& p = *wave[i];
+      Dispatch& p = *wave[i];
       Rng crng = Rng::derive(config_.seed, p.slot.round, p.slot.client);
       p.outcome = policy.execute(p.slot, crng);
       p.trained = true;
@@ -451,7 +364,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       policy.snapshot_state(w);
       w.u64(pending.size());
       for (const auto& [id, p] : pending) {  // std::map: dispatch order
-        write_pending(w, id, p, compressor.enabled());
+        write_pending(w, p, compressor.enabled());
       }
       // Events serialize in pop order (the comparator's total order), so two
       // snapshots of the same logical state are byte-identical regardless of
@@ -500,152 +413,65 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     }
     Event e = queue.pop();
     clock.advance_to(e.time);
-    auto it = pending.find(e.dispatch);
-    if (it == pending.end()) continue;  // defensive; events map 1:1 to pendings
-    switch (e.kind) {
-      case EventKind::kUpload: {
-        Pending& p = it->second;
-        if (!p.trained) train_wave();
-        double arrive_at = e.time;
-        if (transport_.enabled()) {
-          if (compressor.enabled() && !p.upref) {
-            // Encode exactly once per dispatch: re-uploads re-ship the same
-            // masked delta, and a resumed pending keeps its serialized upref.
-            p.upref = std::make_unique<ParamSet>(policy.upload_reference(p.slot));
-            compressor.encode_update(p.slot.client, p.outcome.params, *p.upref);
-          }
-          const double before = p.sess.elapsed_seconds();
-          std::size_t up_attempts = 0;
-          double up_backoff = 0.0;
-          net::Delivery up =
-              transport_.send(p.sess, net::FrameKind::kReturn, p.outcome.params,
-                              p.slot.params_back);
-          engine::record_transfer(result.comm, up.transfer, /*uplink=*/true);
-          up_attempts += up.transfer.attempts;
-          up_backoff += up.transfer.backoff_seconds;
-          std::size_t up_bytes = up.transfer.bytes;
-          while (!up.transfer.delivered && p.reuploads_left > 0) {
-            // The client still holds its trained update: re-send the frame
-            // after a backoff. Transfer time accrues; compute does not
-            // (ClientClock already charged it).
-            --p.reuploads_left;
-            p.sess.add_seconds(async_.reupload_backoff_s);
-            up_backoff += async_.reupload_backoff_s;
-            up = transport_.send(p.sess, net::FrameKind::kReturn,
-                                 p.outcome.params, p.slot.params_back);
-            engine::record_transfer(result.comm, up.transfer, /*uplink=*/true);
-            up_attempts += up.transfer.attempts;
-            up_backoff += up.transfer.backoff_seconds;
-            up_bytes += up.transfer.bytes;
-          }
-          const double up_end = e.time + (p.sess.elapsed_seconds() - before);
-          lifecycle.phase(e.dispatch, engine::kPhaseUplink, e.time, up_end,
-                          up_attempts, up_backoff, up_bytes);
-          if (!up.transfer.delivered) {
-            p.fail = FailKind::kLostUplink;
-            // Error feedback: the lost masked delta returns to the residual.
-            compressor.reclaim(p.slot.client, p.outcome.params);
-            queue.push({up_end + async_.failure_timeout_s, e.dispatch, e.client,
-                        0, EventKind::kFailure});
-            break;
-          }
-          if (!up.params.empty()) p.outcome.params = std::move(up.params);
-          arrive_at = up_end;
+    auto it = pending.find(e.dispatch);  // resume checked that it exists
+    if (it == pending.end()) throw std::logic_error("AsyncEngine: event without a dispatch");
+    if (e.kind == EventKind::kUpload) {
+      Dispatch& p = it->second;
+      if (!p.trained) train_wave();
+      double arrive_at = e.time;
+      if (transport_.enabled()) {
+        const engine::Uplink up = dispatcher.send_update(p, async_.reupload_backoff_s);
+        const double up_end = e.time + (p.sess.elapsed_seconds() - up.start_elapsed);
+        lifecycle.phase(e.dispatch, engine::kPhaseUplink, e.time, up_end, up.attempts,
+                        up.backoff_seconds, up.bytes);
+        if (!up.delivered) {
+          p.fail = DispatchFailure::kLostUplink;
+          queue.push({up_end + async_.failure_timeout_s, e.dispatch, e.client, 0,
+                      EventKind::kFailure});
+          continue;
         }
-        queue.push({arrive_at, e.dispatch, e.client, 0, EventKind::kArrival});
-        break;
+        arrive_at = up_end;
       }
-      case EventKind::kArrival: {
-        Pending p = std::move(it->second);
-        pending.erase(it);
-        policy.set_client_busy(p.slot.client, false);
-        if (agg.too_stale(p.version)) {
-          ++result.failed_trainings;
-          stale_counter.inc();
-          telemetry->client_failed();
-          engine::trace_dispatch_failure(p.slot, "stale", clock.now());
-          lifecycle.drop(e.dispatch, "stale", clock.now());
-          // Staleness-safe error feedback: the discarded delta's mass is
-          // re-deposited instead of lost.
-          if (p.upref) compressor.reclaim(p.slot.client, p.outcome.params);
-          break;
-        }
-        lifecycle.arrived(e.dispatch, clock.now());
-        const std::size_t tau = agg.staleness(p.version);
-        const double scale = agg.weight_scale(p.version);
-        result.comm.record_return(p.slot.params_back);
-        telemetry->add_train_seconds(p.outcome.stats.seconds);
-        telemetry->client_ok();
-        staleness_hist.record(static_cast<double>(tau));
-        if (obs::trace_enabled()) {
-          obs::TraceEvent ev("dispatch");
-          ev.field("round", static_cast<std::uint64_t>(p.slot.round))
-              .field("client", static_cast<std::uint64_t>(p.slot.client))
-              .field("sent", static_cast<std::uint64_t>(p.slot.sent_index))
-              .field("params", static_cast<std::uint64_t>(p.slot.params_sent))
-              .field("outcome", "ok")
-              .field("back", static_cast<std::uint64_t>(p.slot.back_index))
-              .field("params_back",
-                     static_cast<std::uint64_t>(p.slot.params_back))
-              .field("virtual_time", clock.now())
-              .field("staleness", static_cast<std::uint64_t>(tau))
-              .field("weight_scale", scale)
-              .field("train_ms", p.outcome.stats.seconds * 1e3)
-              .field("dur_ms", (clock.now() - p.dispatch_time) * 1e3);
-          ev.emit();
-        }
-        if (p.upref) compressor.decode_update(p.outcome.params, *p.upref);
-        policy.commit_weighted(p.slot, std::move(p.outcome), scale);
-        agg.note_buffered();
-        occupancy_hist.record(static_cast<double>(agg.buffered()));
-        if (agg.full()) do_flush();
-        break;
-      }
-      case EventKind::kFailure: {
-        Pending p = std::move(it->second);
-        pending.erase(it);
-        policy.set_client_busy(p.slot.client, false);
-        ++result.failed_trainings;
-        telemetry->client_failed();
-        switch (p.fail) {
-          case FailKind::kNoResponse:
-            engine::trace_dispatch_failure(p.slot, "no_response", clock.now());
-            lifecycle.drop(e.dispatch, "no_response", clock.now());
-            policy.on_no_response(p.slot);
-            break;
-          case FailKind::kDeparted:
-            engine::trace_dispatch_failure(p.slot, "departed", clock.now());
-            lifecycle.drop(e.dispatch, "departed", clock.now());
-            policy.on_no_response(p.slot);
-            break;
-          case FailKind::kWentDark:
-            engine::trace_dispatch_failure(p.slot, "went_dark", clock.now());
-            lifecycle.drop(e.dispatch, "went_dark", clock.now());
-            policy.on_no_response(p.slot);
-            break;
-          case FailKind::kAdaptFailed:
-            engine::trace_dispatch_failure(p.slot, "adapt_failed", clock.now());
-            lifecycle.drop(e.dispatch, "adapt_failed", clock.now());
-            policy.on_adapt_failure(p.slot);
-            break;
-          case FailKind::kLostDownlink:
-            result.comm.record_drop();
-            obs::metrics().counter("afl.net.drops").inc();
-            engine::trace_dispatch_failure(p.slot, "lost_downlink", clock.now());
-            lifecycle.drop(e.dispatch, "lost_downlink", clock.now());
-            policy.on_transport_failure(p.slot);
-            break;
-          case FailKind::kLostUplink:
-            result.comm.record_drop();
-            obs::metrics().counter("afl.net.drops").inc();
-            engine::trace_dispatch_failure(p.slot, "lost_uplink", clock.now());
-            lifecycle.drop(e.dispatch, "lost_uplink", clock.now());
-            policy.on_transport_failure(p.slot);
-            break;
-        }
-        break;
-      }
+      queue.push({arrive_at, e.dispatch, e.client, 0, EventKind::kArrival});
+      continue;
     }
+    // An arrival or a failure ends the dispatch and frees its client.
+    Dispatch p = std::move(it->second);
+    pending.erase(it);
+    policy.set_client_busy(p.slot.client, false);
+    if (e.kind == EventKind::kFailure) {
+      dispatcher.fail(p, p.fail, *telemetry, clock.now(), clock.now());
+      continue;
+    }
+    if (agg.too_stale(p.version)) {
+      stale_counter.inc();
+      dispatcher.fail(p, DispatchFailure::kStale, *telemetry, clock.now(), clock.now());
+      continue;
+    }
+    lifecycle.arrived(e.dispatch, clock.now());
+    const std::size_t tau = agg.staleness(p.version);
+    const double scale = agg.weight_scale(p.version);
+    result.comm.record_return(p.slot.params_back);
+    telemetry->add_train_seconds(p.outcome.stats.seconds);
+    telemetry->client_ok();
+    staleness_hist.record(static_cast<double>(tau));
+    if (obs::trace_enabled()) {
+      obs::TraceEvent ev("dispatch");
+      engine::dispatch_fields(ev, p, "ok");
+      ev.field("back", static_cast<std::uint64_t>(p.slot.back_index))
+          .field("params_back", static_cast<std::uint64_t>(p.slot.params_back))
+          .field("virtual_time", clock.now())
+          .field("staleness", static_cast<std::uint64_t>(tau))
+          .field("weight_scale", scale)
+          .field("train_ms", p.outcome.stats.seconds * 1e3)
+          .field("dur_ms", (clock.now() - p.base) * 1e3);
+      ev.emit();
+    }
+    dispatcher.decode_update(p);
+    policy.commit_weighted(p.slot, std::move(p.outcome), scale);
+    agg.note_buffered();
+    occupancy_hist.record(static_cast<double>(agg.buffered()));
+    if (agg.full()) do_flush();
   }
 
   telemetry.reset();

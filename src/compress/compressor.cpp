@@ -15,7 +15,7 @@ void check_reference(const std::string& name, const Tensor& tensor,
   const auto it = reference.find(name);
   if (it == reference.end() || !it->second.same_shape(tensor)) {
     throw std::runtime_error(
-        "compress: upload_reference() mismatch for tensor \"" + name +
+        "compress: local_view() mismatch for tensor \"" + name +
         "\" shape " + shape_to_string(tensor.shape()) +
         (it == reference.end() ? " (missing from reference)"
                                : " (reference shape " +

@@ -3,11 +3,11 @@
 //
 // The Compressor sits between a policy's trained parameters and the
 // transport's return frame. On the way out it delta-codes the update against
-// the exact parameter set the client imported (RoundPolicy::
-// upload_reference()), folds in the client's residual, and masks everything
-// but the top-k coordinates — the transport's sparse codec then ships only
-// those. On the way in it adds the reference back, so aggregation sees a
-// full-shape parameter set and the machinery above this layer is untouched.
+// the exact parameter set the client imported (RoundPolicy::local_view()),
+// folds in the client's residual, and masks everything but the top-k
+// coordinates — the transport's sparse codec then ships only those. On the
+// way in it adds the reference back, so aggregation sees a full-shape
+// parameter set and the machinery above this layer is untouched.
 // Coordinates the mask drops are re-deposited into the ResidualStore; a
 // discarded upload (lost frame, straggler, stale async arrival) is
 // reclaim()ed wholesale, so no gradient mass is ever silently lost.
@@ -52,7 +52,7 @@ class Compressor {
 
   /// Turns `params` (a trained parameter set) into the masked top-k delta
   /// against `reference` — the set the client imported, from
-  /// RoundPolicy::upload_reference() — folding in and re-depositing the
+  /// RoundPolicy::local_view() — folding in and re-depositing the
   /// client's residual. Must run sequentially in slot/event order (it
   /// mutates per-client state). Throws std::runtime_error when `reference`
   /// does not structurally match `params`.

@@ -117,19 +117,16 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     return pool_.split(global_, s.sent_index);
   }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
-    // Mirrors execute()'s import exactly (docs/COMPRESSION.md).
-    return s.rx ? pool_.split(*s.rx, s.back_index)
-                : pool_.split(global_, s.back_index);
+  ParamSet local_view(const ClientSlot& s) const override {
+    // s.rx is the codec-decoded downlink payload (sized sent_index); the
+    // device prunes it to what it can train. Identity path: split the frozen
+    // global directly.
+    return pool_.split(s.rx ? *s.rx : global_, s.back_index);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     Model local = pool_.build(s.back_index);
-    // s.rx is the codec-decoded downlink payload (sized sent_index); the
-    // device prunes it to what it can train. Identity path: read the frozen
-    // global directly.
-    local.import_params(s.rx ? pool_.split(*s.rx, s.back_index)
-                             : pool_.split(global_, s.back_index));
+    local.import_params(local_view(s));
     // Lazy datasets (scale-out populations) materialize the client's shard
     // here on the worker thread and drop it when training ends; stored
     // datasets are read in place.

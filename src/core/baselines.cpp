@@ -68,14 +68,13 @@ class AllLargePolicy final : public CohortPolicy {
 
   ParamSet dispatch_params(const ClientSlot&) const override { return global_; }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
-    // Mirrors execute()'s import exactly (docs/COMPRESSION.md).
+  ParamSet local_view(const ClientSlot& s) const override {
     return s.rx ? *s.rx : global_;
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     Model local = build_full_model(spec_);
-    local.import_params(s.rx ? *s.rx : global_);
+    local.import_params(local_view(s));
     TrainOutcome out;
     out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
     out.params = local.export_params();
@@ -155,13 +154,13 @@ class DecoupledPolicy final : public CohortPolicy {
     return globals_[s.back_index];
   }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
+  ParamSet local_view(const ClientSlot& s) const override {
     return s.rx ? *s.rx : globals_[s.back_index];
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     Model local = pool_.build(heads_[s.back_index]);
-    local.import_params(s.rx ? *s.rx : globals_[s.back_index]);
+    local.import_params(local_view(s));
     TrainOutcome out;
     out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
     out.params = local.export_params();
@@ -252,15 +251,13 @@ class HeteroFlPolicy final : public CohortPolicy {
     return prune_params(global_, spec_, level_plans_[s.back_index]);
   }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
+  ParamSet local_view(const ClientSlot& s) const override {
     return s.rx ? *s.rx : prune_params(global_, spec_, level_plans_[s.back_index]);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    const WidthPlan& plan = level_plans_[s.back_index];
-    Model local = build_model(spec_, plan);
-    local.import_params(s.rx ? *s.rx
-                             : prune_params(global_, spec_, plan));
+    Model local = build_model(spec_, level_plans_[s.back_index]);
+    local.import_params(local_view(s));
     TrainOutcome out;
     out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
     out.params = local.export_params();

@@ -54,19 +54,16 @@ class RollingFlPolicy final : public RoundPolicy {
     s.params_sent = level_params_.back();
   }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
-    // Mirrors execute()'s import exactly (docs/COMPRESSION.md); the rolling
-    // window is a pure function of (ratio, round), so the same plan rebuilds.
+  ParamSet local_view(const ClientSlot& s) const override {
+    // The rolling window is a pure function of (ratio, round).
     const RollingPlan plan =
         make_rolling_plan(spec_, level_ratios_[s.back_index], s.round);
     return rolling_extract(global_, spec_, plan);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    const double ratio = level_ratios_[s.back_index];
-    const RollingPlan plan = make_rolling_plan(spec_, ratio, s.round);
-    Model local = build_model(spec_, uniform_plan(spec_, ratio));
-    local.import_params(rolling_extract(global_, spec_, plan));
+    Model local = build_model(spec_, uniform_plan(spec_, level_ratios_[s.back_index]));
+    local.import_params(local_view(s));
     TrainOutcome out;
     out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
     out.params = local.export_params();

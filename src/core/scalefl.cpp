@@ -76,8 +76,7 @@ class ScaleFlPolicy final : public RoundPolicy {
     s.params_sent = levels_.back().params;
   }
 
-  ParamSet upload_reference(const ClientSlot& s) const override {
-    // Mirrors execute()'s import exactly (docs/COMPRESSION.md).
+  ParamSet local_view(const ClientSlot& s) const override {
     const ScaleFlLevel& level = levels_[s.back_index];
     return prune_to_shapes(global_, model_shapes(spec_, level.plan, level.options));
   }
@@ -85,8 +84,7 @@ class ScaleFlPolicy final : public RoundPolicy {
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     const ScaleFlLevel& level = levels_[s.back_index];
     Model model = build_model(spec_, level.plan, nullptr, level.options);
-    model.import_params(
-        prune_to_shapes(global_, model_shapes(spec_, level.plan, level.options)));
+    model.import_params(local_view(s));
     TrainOutcome out;
     out.stats = local_train_multi_exit(model, data_.clients[s.client], local_, rng);
     out.params = model.export_params();

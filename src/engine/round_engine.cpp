@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -12,6 +10,7 @@
 
 #include "async/virtual_clock.hpp"
 #include "compress/compressor.hpp"
+#include "engine/dispatch.hpp"
 #include "engine/lifecycle.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
@@ -26,9 +25,8 @@
 
 namespace afl {
 
+using engine::DispatchFailure;
 using engine::publish_run_status;
-using engine::record_transfer;
-using engine::trace_dispatch_failure;
 
 namespace {
 
@@ -79,165 +77,6 @@ class EdgeAggregator {
   bool track_local_model_;
   ParamSet model_;
 };
-
-/// Phase 1 output of one round: the accepted work slots plus the transport
-/// state that must survive into the execute/commit phases.
-struct RoundPlan {
-  std::vector<ClientSlot> work;
-  /// Parallel to `work` when the transport is enabled (the downlink session
-  /// clock carries into the uplink); empty on the identity path.
-  std::vector<net::Transport::Session> sessions;
-  /// Decoded downlink payloads owned here so slot.rx pointers stay stable
-  /// across the parallel execute phase.
-  std::vector<std::unique_ptr<ParamSet>> rx_store;
-  /// Parallel to `work` when the transport is enabled: on-wire bytes of each
-  /// slot's delivered downlink frame (per-shard byte attribution).
-  std::vector<std::size_t> down_bytes;
-  /// (client, session elapsed seconds) of dispatches lost on the downlink:
-  /// no work slot survives, but the failed session still advances the clock
-  /// of the client's shard.
-  std::vector<std::pair<std::size_t, double>> failed_downlink_seconds;
-  /// Clients whose dispatch found them departed from the fleet (population
-  /// churn, PresenceSchedule::State::kAbsent), so the compressor can drop
-  /// their stale residuals (docs/COMPRESSION.md).
-  std::vector<std::size_t> departed;
-};
-
-/// Downlink payload override: what the wire carries for a slot. Null uses
-/// policy.dispatch_params(); divergent sharded runs split from the owning
-/// shard's local model instead.
-using DispatchPayloadFn = std::function<ParamSet(const ClientSlot&)>;
-
-/// Phase 1 of a round, sequential cohort planning: select / capacity / adapt
-/// / dispatch accounting / availability / downlink transport / policy
-/// feedback hooks, in slot order. The round RNG is consumed in the same draw
-/// order (select -> capacity -> adapt -> availability -> transport session)
-/// whatever the shard count, so the cohort, the dispatched models and every
-/// failure are the same however the round is sharded afterwards. Clients map
-/// to shard client % clocks.size(); the shard's clock is each dispatch's
-/// lifecycle timebase, and `sharded` tags traces with the shard. When the
-/// lifecycle tracker is active, every planned slot gets a sequential dispatch
-/// id (thread- and shard-count invariant) whose tags ride the transport
-/// session into the commit phase; the dispatched global version is round - 1.
-RoundPlan plan_round(RoundPolicy& policy, const FlRunConfig& config,
-                     const std::vector<DeviceSim>* devices,
-                     const net::Transport& transport, std::size_t round,
-                     Rng& rng, RunResult& result, RoundTelemetry& telemetry,
-                     const DispatchPayloadFn& payload,
-                     const std::vector<async::VirtualClock>& clocks,
-                     bool sharded, engine::LifecycleTracker& lifecycle) {
-  RoundPlan plan;
-  plan.work.reserve(config.clients_per_round);
-  const long long version = static_cast<long long>(round) - 1;
-  for (std::size_t slot = 0; slot < config.clients_per_round; ++slot) {
-    ClientSlot s;
-    s.round = round;
-    s.slot = slot;
-    {
-      AFL_PROF_SPAN("engine.select");
-      if (!policy.select(s, rng)) break;  // no client available this round
-      if (devices) {
-        if (s.client >= devices->size()) {
-          throw std::logic_error("RoundEngine: policy selected client " +
-                                 std::to_string(s.client) + " outside the fleet");
-        }
-        s.capacity = (*devices)[s.client].capacity(rng);
-      } else {
-        s.capacity = static_cast<std::size_t>(-1);
-      }
-    }
-    {
-      AFL_PROF_SPAN("engine.adapt");
-      policy.adapt(s);
-    }
-    // Unified accounting: the dispatch is on the wire before the server
-    // learns anything about the device, so it is recorded up front and
-    // becomes pure waste on no-response / no-fit.
-    result.comm.record_dispatch(s.params_sent);
-    const std::size_t shard = s.client % clocks.size();
-    const int tag = sharded ? static_cast<int>(shard) : -1;
-    const double lc_base = clocks[shard].now();
-    // Ids are drawn only while tracing lifecycles: the counter is snapshot
-    // state, so time-less runs keep it at 0.
-    const std::size_t lc_id = lifecycle.active() ? lifecycle.next_id() : 0;
-    lifecycle.begin(lc_id, round, s.client, lc_base, tag, version);
-    if (devices) {
-      // Population churn (src/pop/, docs/POPULATION.md): a departed or dark
-      // client is dispatched to (the server cannot know) but never replies.
-      // No RNG draw happens for non-present clients, so enabling churn never
-      // shifts the streams of the clients that are present.
-      const PresenceSchedule::State presence =
-          (*devices)[s.client].presence_state(round);
-      if (presence != PresenceSchedule::State::kPresent) {
-        const char* outcome = presence == PresenceSchedule::State::kAbsent
-                                  ? "departed"
-                                  : "went_dark";
-        if (presence == PresenceSchedule::State::kAbsent) {
-          plan.departed.push_back(s.client);
-        }
-        ++result.failed_trainings;
-        telemetry.client_failed();
-        trace_dispatch_failure(s, outcome, -1.0, tag);
-        lifecycle.drop(lc_id, outcome, lc_base);
-        policy.on_no_response(s);
-        continue;
-      }
-    }
-    if (devices && !(*devices)[s.client].responds(rng)) {
-      ++result.failed_trainings;
-      telemetry.client_failed();
-      trace_dispatch_failure(s, "no_response", -1.0, tag);
-      lifecycle.drop(lc_id, "no_response", lc_base);
-      policy.on_no_response(s);
-      continue;
-    }
-    if (!s.trainable) {
-      ++result.failed_trainings;
-      telemetry.client_failed();
-      trace_dispatch_failure(s, "adapt_failed", -1.0, tag);
-      lifecycle.drop(lc_id, "adapt_failed", lc_base);
-      policy.on_adapt_failure(s);
-      continue;
-    }
-    if (transport.enabled()) {
-      // Downlink: the dispatched submodel crosses the simulated channel.
-      // Lost frames (all retransmissions exhausted) exclude the client this
-      // round exactly like an availability failure.
-      net::Transport::Session sess = transport.session(round, s.client);
-      sess.set_lifecycle_tags(
-          lifecycle.active() ? static_cast<long long>(lc_id) : -1, tag, version);
-      net::Delivery down = transport.send(
-          sess, net::FrameKind::kDispatch,
-          payload ? payload(s) : policy.dispatch_params(s), s.params_sent);
-      record_transfer(result.comm, down.transfer, /*uplink=*/false);
-      lifecycle.phase(lc_id, engine::kPhaseDownlink, lc_base,
-                      lc_base + sess.elapsed_seconds(), down.transfer.attempts,
-                      down.transfer.backoff_seconds, down.transfer.bytes);
-      if (!down.transfer.delivered) {
-        ++result.failed_trainings;
-        result.comm.record_drop();
-        obs::metrics().counter("afl.net.drops").inc();
-        telemetry.client_failed();
-        trace_dispatch_failure(s, "lost_downlink", -1.0, tag);
-        lifecycle.drop(lc_id, "lost_downlink", lc_base + sess.elapsed_seconds());
-        policy.on_transport_failure(s);
-        plan.failed_downlink_seconds.emplace_back(s.client,
-                                                  sess.elapsed_seconds());
-        continue;
-      }
-      if (!down.params.empty()) {
-        plan.rx_store.push_back(
-            std::make_unique<ParamSet>(std::move(down.params)));
-        s.rx = plan.rx_store.back().get();
-      }
-      plan.sessions.push_back(sess);
-      plan.down_bytes.push_back(down.transfer.bytes);
-    }
-    policy.on_accepted(s);
-    plan.work.push_back(s);
-  }
-  return plan;
-}
 
 }  // namespace
 
@@ -319,15 +158,6 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
     }
     if (divergent) synced_global = hier_policy->hier_global();
   }
-  // In divergent mode the wire carries the owning shard's local model; null
-  // splits the payload from the root global (policy.dispatch_params()).
-  DispatchPayloadFn payload;
-  if (divergent && transport_.enabled()) {
-    payload = [&](const ClientSlot& s) {
-      return hier_policy->hier_dispatch_params(s, edges[shard_of(s.client)].model());
-    };
-  }
-
   // Simulated time: with a transport configured each shard's round takes as
   // long as its slowest client's session (capped by the round deadline — the
   // server stops waiting there) on the shard's own clock. A root sync is a
@@ -347,6 +177,15 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   // clients map to exactly one shard, so the shard-major commit order below
   // cannot perturb the store's final state.
   compress::Compressor compressor(transport_, compress::CompressConfig::from_env());
+
+  engine::Dispatcher dispatcher{"RoundEngine", policy, devices_, transport_,
+                                compressor, lifecycle, result};
+  if (divergent && transport_.enabled()) {
+    // Divergent runs ship the owning shard's local model, not the root global.
+    dispatcher.payload = [&](const ClientSlot& s) {
+      return hier_policy->hier_dispatch_params(s, edges[shard_of(s.client)].model());
+    };
+  }
 
   // Snapshot/resume (docs/POPULATION.md). Resume restores the partial
   // result, round RNG, simulated clocks, lifecycle id counter, and policy
@@ -397,27 +236,56 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
     }
     policy.begin_round(round, rng);
 
-    // Phase 1 (sequential planning): every RNG draw and every piece of
-    // shared-state feedback happens here, in slot order, whatever the shard
-    // count. Transport draws use per-(round, client) Sessions, so they never
-    // perturb the round RNG.
-    RoundPlan plan = plan_round(policy, config_, devices_, transport_, round, rng,
-                                result, *telemetry, payload, clocks, sharded_,
-                                lifecycle);
-    std::vector<ClientSlot>& work = plan.work;
-    if (compressor.enabled()) {
-      for (const std::size_t client : plan.departed) compressor.on_departed(client);
+    // Phase 1 (sequential planning): draw / adapt / admit in slot order
+    // (engine/dispatch.hpp), booking failures at once. The round RNG is drawn
+    // in the same order whatever the shard count, so the cohort and every
+    // failure do not depend on the sharding; transport draws use per-(round,
+    // client) Sessions. Time base: the shard's clock. Lifecycle ids are
+    // sequential (thread- and shard-count invariant); version is round - 1.
+    std::vector<engine::Dispatch> work;
+    work.reserve(config_.clients_per_round);
+    // Per shard, the longest session lost on the downlink: it trains nothing
+    // but still advances the shard's clock.
+    std::vector<double> lost_downlink(shards_, 0.0);
+    for (std::size_t slot = 0; slot < config_.clients_per_round; ++slot) {
+      engine::Dispatch d;
+      d.slot.round = round;
+      d.slot.slot = slot;
+      {
+        AFL_PROF_SPAN("engine.select");
+        if (!dispatcher.draw(d.slot, rng)) break;  // no client available this round
+      }
+      {
+        AFL_PROF_SPAN("engine.adapt");
+        policy.adapt(d.slot);
+      }
+      const std::size_t shard = shard_of(d.slot.client);
+      d.shard = sharded_ ? static_cast<int>(shard) : -1;
+      // Ids are drawn only while tracing lifecycles: the counter is snapshot
+      // state, so time-less runs keep it at 0.
+      d.id = lifecycle.active() ? lifecycle.next_id() : 0;
+      d.version = round - 1;
+      d.base = clocks[shard].now();
+      const engine::Admission admission = dispatcher.admit(d, rng, round);
+      if (!admission.failure) {
+        work.push_back(std::move(d));
+        continue;
+      }
+      if (*admission.failure == DispatchFailure::kLostDownlink) {
+        lost_downlink[shard] = std::max(lost_downlink[shard], d.sess.elapsed_seconds());
+      }
+      dispatcher.fail(d, *admission.failure, *telemetry, admission.at,
+                      /*virtual_time=*/-1.0);
     }
     // Divergent identity path: train on the owning shard's model by pointing
     // slot.rx at it (execute() splits rx down to back_index).
     if (divergent && !transport_.enabled()) {
-      for (ClientSlot& s : work) s.rx = &edges[shard_of(s.client)].model();
+      for (engine::Dispatch& d : work) d.slot.rx = &edges[shard_of(d.slot.client)].model();
     }
 
     // Phase 2 (parallel execution): per-slot work runs on the pool with a
     // RNG derived WITHOUT the shard word, so neither the thread count nor the
     // shard count can perturb training randomness.
-    std::vector<TrainOutcome> outcomes(work.size());
     std::vector<double> queue_seconds(work.size(), 0.0);
     std::vector<double> exec_seconds(work.size(), 0.0);
     Stopwatch exec_watch;
@@ -429,8 +297,9 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         AFL_PROF_SPAN("engine.client_train");
         queue_seconds[i] = exec_watch.seconds();
         Stopwatch item_watch;
-        Rng crng = Rng::derive(config_.seed, work[i].round, work[i].client);
-        outcomes[i] = policy.execute(work[i], crng);
+        engine::Dispatch& d = work[i];
+        Rng crng = Rng::derive(config_.seed, d.slot.round, d.slot.client);
+        d.outcome = policy.execute(d.slot, crng);
         exec_seconds[i] = item_watch.seconds();
       });
     }
@@ -445,97 +314,55 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       async::VirtualClock& clock = clocks[shard];
       const double shard_base = clock.now();  // round start of this shard
       const int tag = sharded_ ? static_cast<int>(shard) : -1;
-      double shard_elapsed = 0.0;
+      double shard_elapsed = lost_downlink[shard];
       for (std::size_t i = 0; i < work.size(); ++i) {
-        const ClientSlot& s = work[i];
+        engine::Dispatch& d = work[i];
+        const ClientSlot& s = d.slot;
         if (shard_of(s.client) != shard) continue;
         std::size_t bytes_up = 0;
         if (transport_.enabled()) {
-          // Uplink: the trained update crosses the channel on the same
-          // session clock as the downlink, plus a deterministic compute term.
+          // Uplink on the session clock that holds the downlink and compute.
           // Updates lost after all retries, or delivered past the round
           // deadline (stragglers), are never aggregated.
-          net::Transport::Session& sess = plan.sessions[i];
-          const std::size_t lc_id =
-              sess.dispatch_id() >= 0 ? static_cast<std::size_t>(sess.dispatch_id())
-                                      : 0;
-          const double down_end = sess.elapsed_seconds();
-          sess.clock().charge_compute(transport_.compute_seconds(s.params_back));
-          const double compute_end = sess.elapsed_seconds();
-          ParamSet upref;
-          if (compressor.enabled()) {
-            // Turn the trained parameters into a masked top-k delta against
-            // what this slot imported; the transport's sparse codec ships it.
-            upref = policy.upload_reference(s);
-            compressor.encode_update(s.client, outcomes[i].params, upref);
-          }
-          net::Delivery up = transport_.send(sess, net::FrameKind::kReturn,
-                                             outcomes[i].params, s.params_back);
-          record_transfer(result.comm, up.transfer, /*uplink=*/true);
-          const double uplink_end = sess.elapsed_seconds();
-          lifecycle.phase(lc_id, engine::kPhaseCompute, shard_base + down_end,
-                          shard_base + compute_end);
-          lifecycle.phase(lc_id, engine::kPhaseUplink, shard_base + compute_end,
-                          shard_base + uplink_end, up.transfer.attempts,
-                          up.transfer.backoff_seconds, up.transfer.bytes);
-          shard_elapsed = std::max(shard_elapsed, sess.elapsed_seconds());
-          bytes_up = up.transfer.bytes;
-          const bool lost = !up.transfer.delivered;
-          if (lost || (deadline > 0.0 && sess.elapsed_seconds() > deadline)) {
-            const char* outcome = lost ? "lost_uplink" : "deadline";
-            ++result.failed_trainings;
-            if (lost) {
-              result.comm.record_drop();
-              obs::metrics().counter("afl.net.drops").inc();
-            } else {
-              result.comm.record_straggler();
-              obs::metrics().counter("afl.net.stragglers").inc();
-            }
-            telemetry->client_failed();
-            trace_dispatch_failure(s, outcome, -1.0, tag);
-            lifecycle.drop(lc_id, outcome, shard_base + uplink_end);
-            // Error feedback: the discarded masked delta returns to the
-            // client's residual so its mass ships with the next update.
-            compressor.reclaim(s.client, outcomes[i].params);
-            policy.on_transport_failure(s);
+          const engine::Uplink up = dispatcher.send_update(d, /*reupload_backoff_s=*/0.0);
+          const double uplink_end = shard_base + d.sess.elapsed_seconds();
+          lifecycle.phase(d.id, engine::kPhaseUplink, shard_base + up.start_elapsed,
+                          uplink_end, up.attempts, up.backoff_seconds, up.bytes);
+          shard_elapsed = std::max(shard_elapsed, d.sess.elapsed_seconds());
+          bytes_up = up.bytes;
+          if (!up.delivered || (deadline > 0.0 && d.sess.elapsed_seconds() > deadline)) {
+            dispatcher.fail(
+                d, up.delivered ? DispatchFailure::kDeadline : DispatchFailure::kLostUplink,
+                *telemetry, uplink_end, /*virtual_time=*/-1.0);
             continue;
           }
-          lifecycle.arrived(lc_id, shard_base + uplink_end);
-          if (!up.params.empty()) outcomes[i].params = std::move(up.params);
-          compressor.decode_update(outcomes[i].params, upref);
+          lifecycle.arrived(d.id, uplink_end);
+          dispatcher.decode_update(d);
         }
         result.comm.record_return(s.params_back);
-        telemetry->add_train_seconds(outcomes[i].stats.seconds);
+        telemetry->add_train_seconds(d.outcome.stats.seconds);
         telemetry->client_ok();
         queue_hist.record(queue_seconds[i]);
         train_hist.record(exec_seconds[i]);
         if (obs::trace_enabled()) {
           obs::TraceEvent ev("dispatch");
-          ev.field("round", static_cast<std::uint64_t>(s.round))
-              .field("client", static_cast<std::uint64_t>(s.client))
-              .field("sent", static_cast<std::uint64_t>(s.sent_index))
-              .field("params", static_cast<std::uint64_t>(s.params_sent))
-              .field("outcome", "ok");
-          if (sharded_) ev.field("shard", static_cast<std::uint64_t>(shard));
+          engine::dispatch_fields(ev, d, "ok");
           ev.field("back", static_cast<std::uint64_t>(s.back_index))
               .field("params_back", static_cast<std::uint64_t>(s.params_back))
-              .field("train_ms", outcomes[i].stats.seconds * 1e3)
+              .field("train_ms", d.outcome.stats.seconds * 1e3)
               .field("dur_ms", exec_seconds[i] * 1e3);
           if (sharded_ && transport_.enabled()) {
-            ev.field("bytes_down", static_cast<std::uint64_t>(plan.down_bytes[i]))
+            ev.field("bytes_down", static_cast<std::uint64_t>(d.down_bytes))
                 .field("bytes_up", static_cast<std::uint64_t>(bytes_up));
           }
           ev.emit();
         }
         if (sharded_) {
           edges[shard].add(
-              ClientUpdate{std::move(outcomes[i].params), outcomes[i].samples});
+              ClientUpdate{std::move(d.outcome.params), d.outcome.samples});
         } else {
-          policy.commit(s, std::move(outcomes[i]));
+          policy.commit(s, std::move(d.outcome));
         }
-      }
-      for (const auto& [client, elapsed] : plan.failed_downlink_seconds) {
-        if (shard_of(client) == shard) shard_elapsed = std::max(shard_elapsed, elapsed);
       }
       round_elapsed_max = std::max(round_elapsed_max, shard_elapsed);
       if (transport_.enabled()) {

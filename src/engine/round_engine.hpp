@@ -8,8 +8,8 @@
 //
 //   init_global -> [per round] begin_round
 //                  -> [per slot, sequential]  select -> adapt
-//                     (engine: dispatch accounting, availability check,
-//                      failure bookkeeping, on_* feedback hooks)
+//                     (engine/dispatch.hpp: accounting, availability,
+//                      downlink, failure booking, on_* feedback hooks)
 //                  -> [parallel]              execute (thread pool)
 //                  -> [sequential, slot order] commit
 //                  -> aggregate -> end_round
@@ -23,21 +23,16 @@
 // (global parameters are frozen between aggregate() calls, so reading them
 // is safe).
 //
-// Communication accounting rule (uniform across algorithms): every slot that
-// selects a client records its dispatch *before* the availability check; a
-// device that never responds, or that cannot train even the smallest
-// adapted/offered submodel, therefore counts as pure waste. Returns are
-// recorded only for slots whose training committed.
-//
-// Simulated transport (src/net/, docs/NET.md): when a channel is configured
-// the engine ships each dispatch and upload as a codec-encoded wire frame
-// through a deterministic lossy channel with retry/backoff. Frames lost after
-// all retries, and clients whose round exceeds the deadline (stragglers), are
-// excluded from aggregation exactly like availability failures. All transport
-// randomness comes from streams derived per (seed, round, client), so results
-// stay bit-identical at any AFL_THREADS; with no channel configured the
-// transport is an identity path and runs are byte-identical to a build
-// without it.
+// The per-dispatch steps (accounting, availability, transport, failure
+// booking) are shared with the async engine in engine/dispatch.hpp. Every
+// dispatch is recorded before the availability check, so a device that never
+// responds, or cannot train even the smallest offered submodel, counts as
+// pure waste. With a channel configured (src/net/, docs/NET.md) frames lost
+// after all retries, and clients whose round exceeds the deadline
+// (stragglers), are excluded like availability failures; transport streams
+// derive per (seed, round, client), so results stay bit-identical at any
+// AFL_THREADS, and with no channel runs are byte-identical to a build
+// without one.
 
 #include <cstddef>
 #include <optional>
@@ -81,8 +76,7 @@ struct ClientSlot {
   /// Decoded downlink payload, set by the engine's transport when a channel
   /// is configured and the policy exposes dispatch_params(). The tensors the
   /// device actually received — codec-quantized when the codec is lossy.
-  /// Null on the identity path; execute() falls back to reading the global
-  /// parameters directly.
+  /// Null on the identity path, where local_view() reads the global.
   const ParamSet* rx = nullptr;
 };
 
@@ -141,19 +135,18 @@ class RoundPolicy {
     return {};
   }
 
-  /// The parameter set execute() imported for this slot — what the trained
-  /// update is measured against when a sparsifying uplink codec is active
-  /// (src/compress/, docs/COMPRESSION.md): the uplink ships
-  /// top-k(trained - upload_reference() + residual). Must return exactly
-  /// what execute() read (slot.rx when present, else the policy's current
-  /// global split for the slot), with matching names and shapes. The default
-  /// throws: silently compressing against the wrong reference would corrupt
+  /// What the client trains on: the parameter set for this slot, built from
+  /// slot.rx when present, else from the policy's current global. execute()
+  /// imports exactly this, and a sparsifying uplink codec (src/compress/,
+  /// docs/COMPRESSION.md) measures the trained update against it: the uplink
+  /// ships top-k(trained - local_view() + residual). The default throws:
+  /// silently compressing against the wrong reference would corrupt
   /// training, so policies must opt in explicitly.
-  virtual ParamSet upload_reference(const ClientSlot& slot) const {
+  virtual ParamSet local_view(const ClientSlot& slot) const {
     (void)slot;
     throw std::runtime_error(
         algorithm_name() +
-        " does not implement upload_reference(); sparse uplink codecs "
+        " does not implement local_view(); sparse uplink codecs "
         "(AFL_NET_CODEC=topk*) need the policy to expose the imported "
         "parameter set");
   }

@@ -191,42 +191,6 @@ void publish_run_status(const RunResult& result, std::size_t round,
   obs::run_trace_flush_hooks();
 }
 
-void trace_dispatch_failure(const ClientSlot& s, const char* outcome,
-                            double virtual_time, int shard) {
-  if (!obs::trace_enabled()) return;
-  obs::TraceEvent ev("dispatch");
-  ev.field("round", static_cast<std::uint64_t>(s.round))
-      .field("client", static_cast<std::uint64_t>(s.client))
-      .field("sent", static_cast<std::uint64_t>(s.sent_index))
-      .field("params", static_cast<std::uint64_t>(s.params_sent))
-      .field("outcome", outcome);
-  if (shard >= 0) ev.field("shard", static_cast<std::uint64_t>(shard));
-  if (virtual_time >= 0.0) ev.field("virtual_time", virtual_time);
-  ev.field("dur_ms", 0.0);
-  ev.emit();
-}
-
-void record_transfer(CommStats& comm, const net::TransferResult& t,
-                     bool uplink) {
-  static obs::Counter& down_bytes = obs::metrics().counter("afl.net.bytes.sent");
-  static obs::Counter& up_bytes = obs::metrics().counter("afl.net.bytes.returned");
-  static obs::Counter& retransmits = obs::metrics().counter("afl.net.retransmits");
-  static obs::Histogram& transfer_hist =
-      obs::metrics().histogram("afl.net.transfer.seconds");
-  if (uplink) {
-    comm.record_return_bytes(t.bytes);
-    up_bytes.inc(t.bytes);
-  } else {
-    comm.record_dispatch_bytes(t.bytes);
-    down_bytes.inc(t.bytes);
-  }
-  if (t.attempts > 1) {
-    comm.record_retransmits(t.attempts - 1);
-    retransmits.inc(t.attempts - 1);
-  }
-  transfer_hist.record(t.seconds);
-}
-
 void evaluate_global(RoundPolicy& policy, std::size_t round, RunResult& result,
                      ThreadPool& workers, RoundTelemetry* telemetry,
                      double sim_time) {

@@ -1,15 +1,14 @@
 #pragma once
 // Run-level trace / status helpers shared by the synchronous RoundEngine and
 // the async engine (src/async/engine.*). Both execution models must emit
-// identical run_start / run_end / dispatch records so afl-insight can diff
-// their traces, and they evaluate and close a run through the same steps.
+// identical run_start / run_end records so afl-insight can diff their
+// traces, and they evaluate and close a run through the same steps.
 
 #include <cstddef>
 
 #include "engine/lifecycle.hpp"
 #include "engine/round_engine.hpp"
 #include "engine/run.hpp"
-#include "fl/comm.hpp"
 #include "net/transport.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -49,20 +48,6 @@ void publish_run_status(const RunResult& result, std::size_t round,
                         std::size_t total_rounds, double elapsed_seconds,
                         std::size_t threads, bool active,
                         const LifecycleBlame* blame = nullptr);
-
-/// Emits a failed dispatch trace event. `virtual_time` >= 0 adds the async
-/// engine's simulated-clock column; negative omits it (synchronous path).
-/// `shard` >= 0 tags the record with its aggregation shard (sharded runs);
-/// negative omits the column so flat-run traces are unchanged —
-/// afl-insight treats runs mixing tagged and untagged dispatches as bad data.
-void trace_dispatch_failure(const ClientSlot& slot, const char* outcome,
-                            double virtual_time = -1.0, int shard = -1);
-
-/// Byte/retransmit accounting + afl.net.* metrics for one frame transfer.
-/// Only ever called with the transport enabled, so the metric instruments are
-/// not registered (and the metrics dump is unchanged) on transportless runs.
-void record_transfer(CommStats& comm, const net::TransferResult& transfer,
-                     bool uplink);
 
 /// Evaluates the global model after `round` and appends the curve point
 /// (with the comm-waste columns). `telemetry`, when non-null, gets the wall

@@ -15,6 +15,7 @@
 #include "compress/compressor.hpp"
 #include "compress/residual.hpp"
 #include "core/experiment.hpp"
+#include "core/rolling_fl.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
@@ -335,6 +336,44 @@ TEST(CompressDeterminism, HierEngineShardAndThreadInvariant) {
   env.run.threads = std::size_t{8};
   const RunResult t8 = run_algorithm(Algorithm::kAdaptiveFl, env);
   expect_same_result(t1, t8);
+}
+
+TEST(CompressDeterminism, EveryPolicyTrainsUnderSparseUplink) {
+  // Each policy's update is coded against its own local_view(), the set its
+  // execute() imports: fp16 downlink, top-k(10%) uplink, lossless channel.
+  enum class Policy { kAllLarge, kDecoupled, kHeteroFl, kScaleFl, kFedRolex, kAdaptiveFl };
+  const auto run = [](Policy policy, const ExperimentEnv& env) {
+    switch (policy) {
+      case Policy::kAllLarge: return run_algorithm(Algorithm::kAllLarge, env);
+      case Policy::kDecoupled: return run_algorithm(Algorithm::kDecoupled, env);
+      case Policy::kHeteroFl: return run_algorithm(Algorithm::kHeteroFl, env);
+      case Policy::kScaleFl: return run_algorithm(Algorithm::kScaleFl, env);
+      case Policy::kFedRolex:  // not in Algorithm: built directly
+        return RollingFl(env.spec, env.pool_config, env.data, env.devices, env.run).run();
+      case Policy::kAdaptiveFl: return run_algorithm(Algorithm::kAdaptiveFl, env);
+    }
+    return RunResult{};
+  };
+  const std::pair<Policy, const char*> policies[] = {
+      {Policy::kAllLarge, "All-Large"}, {Policy::kDecoupled, "Decoupled"},
+      {Policy::kHeteroFl, "HeteroFL"},  {Policy::kScaleFl, "ScaleFL"},
+      {Policy::kFedRolex, "FedRolex"},  {Policy::kAdaptiveFl, "AdaptiveFL"},
+  };
+  for (const auto& [policy, name] : policies) {
+    SCOPED_TRACE(name);
+    ExperimentEnv env = compress_env();
+    env.run.net->codec = net::Codec::kFp16;
+    env.run.threads = std::size_t{1};
+    const RunResult t1 = run(policy, env);
+    env.run.threads = std::size_t{4};
+    const RunResult t4 = run(policy, env);
+    expect_same_result(t1, t4);
+    env.run.threads = std::size_t{1};
+    env.run.net->uplink_codec = std::nullopt;  // dense fp16 uplink
+    const RunResult dense = run(policy, env);
+    EXPECT_GT(t1.comm.bytes_returned(), 0u);
+    EXPECT_LT(t1.comm.bytes_returned(), dense.comm.bytes_returned());
+  }
 }
 
 }  // namespace

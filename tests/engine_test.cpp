@@ -1,6 +1,7 @@
 // Unit tests for the shared RoundEngine and its thread pool: hook sequencing
 // with mock policies (no-response, adapt-failure, empty-selection), the
-// unified dispatch-accounting rule, and deterministic parallel execution.
+// unified dispatch-accounting rule, deterministic parallel execution, and
+// failure routing shared with the async engine.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "async/engine.hpp"
 #include "engine/round_engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -72,10 +74,11 @@ TEST(ThreadPool, AtLeastOneThread) {
 // RoundEngine with mock policies
 // ---------------------------------------------------------------------------
 
-/// Scriptable policy: selects clients 0..num_clients-1 in slot order, trains
-/// "successfully" by stamping the derived RNG's first draw into the outcome,
-/// and records every hook call for sequencing assertions.
-class MockPolicy : public RoundPolicy {
+/// Scriptable policy: selects clients 0..num_clients-1 in slot order (under
+/// the async engine, the lowest client not in flight), trains "successfully"
+/// by stamping the derived RNG's first draw into the outcome, and records
+/// every hook call for sequencing assertions.
+class MockPolicy : public AsyncRoundPolicy {
  public:
   explicit MockPolicy(std::size_t num_clients) : num_clients_(num_clients) {}
 
@@ -86,9 +89,20 @@ class MockPolicy : public RoundPolicy {
     log_.push_back("begin:" + std::to_string(round));
   }
 
+  void begin_async(std::size_t) override { busy_.assign(num_clients_, false); }
+  void set_client_busy(std::size_t client, bool busy) override { busy_[client] = busy; }
+
   bool select(ClientSlot& s, Rng&) override {
-    if (stop_selection_ || s.slot >= num_clients_) return false;
-    s.client = s.slot;
+    if (stop_selection_) return false;
+    if (busy_.empty()) {
+      if (s.slot >= num_clients_) return false;
+      s.client = s.slot;
+    } else {
+      const auto free = std::find(busy_.begin(), busy_.end(), false);
+      if (free == busy_.end()) return false;
+      s.client = static_cast<std::size_t>(free - busy_.begin());
+      busy_[s.client] = true;
+    }
     s.sent_index = 7;
     s.params_sent = 100;
     return true;
@@ -128,6 +142,9 @@ class MockPolicy : public RoundPolicy {
     log_.push_back("commit:" + std::to_string(s.client));
     committed_losses_.push_back(outcome.stats.mean_loss);
   }
+  void commit_weighted(const ClientSlot& s, TrainOutcome outcome, double) override {
+    commit(s, std::move(outcome));
+  }
 
   void aggregate(std::size_t round) override {
     log_.push_back("aggregate:" + std::to_string(round));
@@ -142,6 +159,7 @@ class MockPolicy : public RoundPolicy {
   std::size_t num_clients_;
   std::size_t required_capacity_ = 0;
   bool stop_selection_ = false;
+  std::vector<bool> busy_;  // in-flight clients; empty under the round engine
   std::vector<std::string> log_;
   std::vector<double> committed_losses_;
   mutable std::atomic<std::size_t> executions_{0};
@@ -438,6 +456,72 @@ TEST(RoundEngine, DeadlineTurnsSlowClientsIntoStragglers) {
                             return s.rfind("commit:", 0) == 0;
                           }),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Failure routing: both engines book a failed dispatch through one path
+// ---------------------------------------------------------------------------
+
+enum class Failure { kNoResponse, kAdaptFailure, kDownlinkDrop, kUplinkDrop };
+
+/// Fails client 1 of a 3-client fleet one way and runs one round (or one
+/// async flush). Only the targeted client fails: with every device
+/// unavailable the async engine would never fill its buffer.
+RunResult run_failing_client(Failure failure, bool async_engine, MockPolicy& policy) {
+  auto fleet = mock_fleet(3, 1000, 1.0);
+  FlRunConfig cfg = mock_config(1, 3);
+  if (failure == Failure::kNoResponse) fleet[1].availability = 0.0;
+  if (failure == Failure::kAdaptFailure) {
+    policy.required_capacity_ = 500;
+    fleet[1].base_capacity = 100;
+  }
+  if (failure == Failure::kDownlinkDrop || failure == Failure::kUplinkDrop) {
+    cfg.net = net::NetConfig{};
+    cfg.net->enabled = true;  // perfect channel: every instant stays 0
+    cfg.net->max_retries = 0;
+    // Faults key on (round, client); an async "round" is the dispatch id,
+    // and client 1 gets the second dispatch.
+    const std::string at = async_engine ? "@2:1" : "@1:1";
+    cfg.net->faults = net::parse_fault_plan(
+        (failure == Failure::kUplinkDrop ? "up.drop" : "drop") + at);
+  }
+  if (!async_engine) return RoundEngine(cfg, &fleet).run(policy);
+  // Clients 0 and 2 fill the buffer; with a zero failure timeout client 1's
+  // failure is booked before that flush.
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  acfg.buffer_size = 2;
+  acfg.concurrency = 3;
+  acfg.failure_timeout_s = 0.0;
+  acfg.max_reuploads = 0;
+  return async::AsyncEngine(cfg, acfg, &fleet).run(policy);
+}
+
+TEST(FailureRouting, BothEnginesBookAFailedDispatchTheSameWay) {
+  const struct {
+    Failure failure;
+    const char* name;
+    const char* hook;
+    bool lost_frame;
+  } cases[] = {
+      {Failure::kNoResponse, "no response", "no_response:1", false},
+      {Failure::kAdaptFailure, "adapt failure", "adapt_failure:1", false},
+      {Failure::kDownlinkDrop, "downlink drop", "transport_failure:1", true},
+      {Failure::kUplinkDrop, "uplink drop", "transport_failure:1", true},
+  };
+  for (const auto& c : cases) {
+    for (const bool async_engine : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (async_engine ? " (async)" : " (round)"));
+      MockPolicy policy(3);
+      const RunResult r = run_failing_client(c.failure, async_engine, policy);
+      EXPECT_EQ(r.failed_trainings, 1u);
+      EXPECT_EQ(r.comm.drops(), c.lost_frame ? 1u : 0u);
+      EXPECT_EQ(std::count(policy.log_.begin(), policy.log_.end(), std::string(c.hook)), 1);
+      EXPECT_EQ(std::count(policy.log_.begin(), policy.log_.end(), std::string("commit:1")), 0);
+      EXPECT_EQ(std::count(policy.log_.begin(), policy.log_.end(), std::string("commit:0")), 1);
+      EXPECT_EQ(std::count(policy.log_.begin(), policy.log_.end(), std::string("commit:2")), 1);
+    }
+  }
 }
 
 }  // namespace

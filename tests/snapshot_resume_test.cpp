@@ -4,7 +4,9 @@
 // three engines (sync, async, hier) and at any thread count. Wall-clock
 // fields (wall_seconds, round_metrics) are outside the contract.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -15,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "engine/dispatch.hpp"
 #include "pop/config.hpp"
+#include "util/crc32.hpp"
 
 namespace afl {
 namespace {
@@ -335,6 +339,62 @@ TEST(SnapshotResume, AsyncSnapshotBytesIndependentOfRunAndThreads) {
   ASSERT_FALSE(files[0].empty());
   EXPECT_TRUE(files[1] == files[0]) << "two identical 1-thread runs differ";
   EXPECT_TRUE(files[2] == files[0]) << "1 vs 4 threads differ";
+}
+
+TEST(SnapshotResume, AsyncEventThatCannotReplayIsRejected) {
+  // The in-flight section is replayed event by event, so a resume must refuse
+  // an event it cannot replay instead of misreading it. The file ends with the
+  // last event's (f64 time, u64 dispatch, u64 client, u64 seq, u64 kind), then
+  // u64 next_seq, then the u32 CRC-32 of every byte after the 8-byte magic.
+  ExperimentEnv env = small_env();
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  acfg.buffer_size = 3;
+  acfg.concurrency = 5;
+  env.run.async = acfg;
+  env.run.net->round_deadline_s = 0.0;
+  const std::string path = snap_path("async_events");
+  env.run.snapshot_path = path;
+  env.run.snapshot_every = std::size_t{1};
+  env.run.stop_after_round = std::size_t{3};
+  run_algorithm(Algorithm::kAdaptiveFlAsync, env);
+  const std::string written = read_bytes(path);
+  ASSERT_GT(written.size(), 8u + 44u);
+
+  env.run.snapshot_path = std::string{};
+  env.run.stop_after_round = std::size_t{0};
+  env.run.resume_from = path;
+  const struct {
+    const char* what;
+    std::size_t from_end;
+    std::uint64_t value;
+  } rewrites[] = {
+      {"unknown event kind", 20, 7},
+      {"dispatch not in flight", 44, 999999},
+      {"client not the dispatch's", 36, 5000},
+  };
+  for (const auto& r : rewrites) {
+    SCOPED_TRACE(r.what);
+    std::string bytes = written;
+    std::memcpy(&bytes[bytes.size() - r.from_end], &r.value, sizeof(r.value));
+    const std::uint32_t crc = crc32(bytes.data() + 8, bytes.size() - 8 - sizeof(crc));
+    std::memcpy(&bytes[bytes.size() - sizeof(crc)], &crc, sizeof(crc));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env), std::runtime_error);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, DispatchFailureDecoderRejectsUnknownValues) {
+  // Async snapshots store each in-flight dispatch's failure as an integer.
+  using engine::DispatchFailure;
+  const auto last = static_cast<std::uint64_t>(DispatchFailure::kStale);
+  for (std::uint64_t v = 0; v <= last; ++v) {
+    EXPECT_EQ(static_cast<std::uint64_t>(engine::decode_failure(v)), v);
+  }
+  EXPECT_THROW(engine::decode_failure(last + 1), std::runtime_error);
+  EXPECT_STREQ(engine::outcome_name(DispatchFailure::kNoResponse), "no_response");
+  EXPECT_STREQ(engine::outcome_name(DispatchFailure::kStale), "stale");
 }
 
 }  // namespace
