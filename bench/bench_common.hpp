@@ -10,7 +10,7 @@
 //
 // Every bench can persist a BENCH_<name>.json snapshot (--out <path> or
 // AFL_BENCH_JSON, see obs/prof/bench_report.hpp); `afl-insight bench
-// show|diff` consumes the snapshots and CI gates on them.
+// show|diff` consumes the snapshots.
 
 #include <cstdio>
 #include <string>
@@ -63,19 +63,6 @@ inline ExperimentConfig scaled_config() {
   }
   apply_env_overrides(cfg);
   return cfg;
-}
-
-/// Stamps the shared snapshot fields: scale name plus the experiment knobs
-/// every bench varies. Call once after scaled_config()/apply_env_overrides().
-inline void describe_config(obs::prof::BenchReport& report,
-                            const ExperimentConfig& cfg) {
-  report.set_scale(bench_scale_name(bench_scale()));
-  report.set_config("rounds", static_cast<double>(cfg.rounds));
-  report.set_config("num_clients", static_cast<double>(cfg.num_clients));
-  report.set_config("clients_per_round", static_cast<double>(cfg.clients_per_round));
-  report.set_config("samples_per_client", static_cast<double>(cfg.samples_per_client));
-  report.set_config("test_samples", static_cast<double>(cfg.test_samples));
-  report.set_config("local_epochs", static_cast<double>(cfg.local_epochs));
 }
 
 inline void print_header(const std::string& what, const std::string& paper_ref) {

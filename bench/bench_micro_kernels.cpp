@@ -3,14 +3,13 @@
 // and heterogeneous aggregation throughput. Not part of the paper — these
 // document the substrate's performance envelope.
 //
-// Kernel profiling (obs::KernelTimer inside gemm/im2col) is switched on by
-// default here so the run ends with a per-kernel histogram summary on stderr;
-// AFL_KERNEL_PROFILE=0 restores the production no-op path for overhead
-// measurements.
+// The profiler is armed by default here, so the run ends with the span table
+// on stderr (tensor.*, net.*, prune.*, fl.*) and --out writes one snapshot
+// section per span; AFL_PROFILE=0 restores the production no-op path for
+// overhead measurements.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <vector>
 
@@ -18,9 +17,8 @@
 #include "fl/aggregate.hpp"
 #include "net/codec.hpp"
 #include "nn/conv2d.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof/bench_report.hpp"
-#include "obs/timer.hpp"
+#include "obs/prof/prof.hpp"
 #include "prune/model_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
@@ -239,19 +237,6 @@ BENCHMARK(BM_SparseDecode)
     ->Args({static_cast<long>(net::Codec::kTopK10), 64 * 1024})
     ->Args({static_cast<long>(net::Codec::kTopK10), 1024 * 1024});
 
-void print_kernel_histograms() {
-  if (!obs::kernel_profiling_enabled()) return;
-  std::fprintf(stderr, "\nobs kernel histograms (afl.tensor.*):\n");
-  std::fprintf(stderr, "%-30s %12s %12s %12s %12s\n", "histogram", "count",
-               "p50 (us)", "p95 (us)", "p99 (us)");
-  for (const auto& [name, s] : obs::metrics().histograms()) {
-    if (s.count == 0) continue;
-    std::fprintf(stderr, "%-30s %12llu %12.3f %12.3f %12.3f\n", name.c_str(),
-                 static_cast<unsigned long long>(s.count), s.p50 * 1e6, s.p95 * 1e6,
-                 s.p99 * 1e6);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,10 +244,8 @@ int main(int argc, char** argv) {
   // sees (and rejects) them.
   obs::prof::BenchReport report("micro_kernels", &argc, argv);
   report.set_scale("fixed");  // shapes are hard-coded, no smoke/full split
-  // Profile kernels unless the caller explicitly opted out.
-  if (std::getenv("AFL_KERNEL_PROFILE") == nullptr) {
-    afl::obs::set_kernel_profiling(true);
-  }
+  // Profile kernels unless the caller chose with AFL_PROFILE.
+  if (std::getenv("AFL_PROFILE") == nullptr) obs::prof::set_profiling(true);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
@@ -270,15 +253,12 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
   }
   benchmark::Shutdown();
-  print_kernel_histograms();
-  // One section per kernel histogram: total in-kernel seconds plus the
-  // latency envelope, so `afl-insight bench diff` can gate per kernel.
-  for (const auto& [name, s] : obs::metrics().histograms()) {
-    if (s.count == 0) continue;
-    report.add_section(name, s.sum,
+  // One section per span: total in-span seconds plus the mean call, so
+  // `afl-insight bench diff` can gate per kernel.
+  for (const obs::prof::SpanStats& s : obs::prof::snapshot()) {
+    report.add_section(s.name, s.wall_seconds,
                        {{"count", static_cast<double>(s.count)},
-                        {"mean_us", s.mean * 1e6},
-                        {"p95_us", s.p95 * 1e6}});
+                        {"mean_us", s.wall_seconds / static_cast<double>(s.count) * 1e6}});
   }
   report.write();
   return 0;

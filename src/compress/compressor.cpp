@@ -5,6 +5,7 @@
 
 #include "net/codec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/prof.hpp"
 #include "util/env.hpp"
 
 namespace afl::compress {
@@ -43,6 +44,7 @@ Compressor::Compressor(const net::Transport& transport, CompressConfig config)
 void Compressor::encode_update(std::size_t client, ParamSet& params,
                                const ParamSet& reference) {
   if (!enabled_) return;
+  AFL_PROF_SPAN("compress.encode_update");
   std::size_t dense_bytes = 0;
   std::size_t kept_coords = 0;
   for (auto& [name, tensor] : params) {

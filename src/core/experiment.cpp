@@ -132,17 +132,6 @@ void print_run_summary(const RunResult& result) {
                    Table::fmt(static_cast<double>(failed) / rounds, 2)});
   summary.add_row({"selector entropy (final)", Table::fmt(entropy, 4), "-"});
   std::fprintf(stderr, "%s", summary.to_markdown().c_str());
-  // Kernel-level view, present only when AFL_KERNEL_PROFILE was on.
-  Table kernels({"histogram", "count", "p50 us", "p95 us", "p99 us", "total s"});
-  bool any = false;
-  for (const auto& [name, s] : obs::metrics().histograms()) {
-    if (s.count == 0 || name.rfind("afl.tensor.", 0) != 0) continue;
-    any = true;
-    kernels.add_row({name, std::to_string(s.count), Table::fmt(s.p50 * 1e6, 2),
-                     Table::fmt(s.p95 * 1e6, 2), Table::fmt(s.p99 * 1e6, 2),
-                     Table::fmt(s.sum, 3)});
-  }
-  if (any) std::fprintf(stderr, "%s", kernels.to_markdown().c_str());
 }
 
 ExperimentEnv make_env(const ExperimentConfig& config) {

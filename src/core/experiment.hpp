@@ -79,7 +79,7 @@ ExperimentEnv make_env(const ExperimentConfig& config);
 RunResult run_algorithm(Algorithm algorithm, const ExperimentEnv& env);
 
 /// Prints an end-of-run telemetry summary (phase timings, per-round comm,
-/// selector entropy, kernel histograms when profiled) to stderr, keeping
+/// selector entropy) to stderr, keeping
 /// stdout free for experiment tables. Called by run_algorithm after every
 /// run; silenced when the log threshold is above kInfo.
 void print_run_summary(const RunResult& result);

@@ -3,7 +3,7 @@
 #include <cstdint>
 
 #include "fl/shard_aggregator.hpp"
-#include "obs/timer.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 
 namespace afl {
@@ -33,7 +33,7 @@ ParamSet fold_updates(const ParamSet& global,
 
 ParamSet fedavg_aggregate(const ParamSet& global,
                           const std::vector<ClientUpdate>& updates) {
-  obs::ScopedTimer timer(aggregate_hist());
+  AFL_PROF_SPAN("fl.aggregate", &aggregate_hist());
   obs::TraceSpan span("aggregate");
   span.field("algo", "fedavg")
       .field("updates", static_cast<std::uint64_t>(updates.size()))
@@ -44,7 +44,7 @@ ParamSet fedavg_aggregate(const ParamSet& global,
 
 ParamSet hetero_aggregate(const ParamSet& global,
                           const std::vector<ClientUpdate>& updates) {
-  obs::ScopedTimer timer(aggregate_hist());
+  AFL_PROF_SPAN("fl.aggregate", &aggregate_hist());
   obs::TraceSpan span("aggregate");
   span.field("algo", "hetero")
       .field("updates", static_cast<std::uint64_t>(updates.size()))

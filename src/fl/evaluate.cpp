@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "nn/loss.hpp"
-#include "obs/timer.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 
 namespace afl {
@@ -19,7 +19,7 @@ EvalResult evaluate(const std::function<Model()>& make_model, const Dataset& dat
                                 std::to_string(batch_size));
   }
   static obs::Histogram& hist = obs::metrics().histogram("afl.fl.evaluate.seconds");
-  obs::ScopedTimer timer(hist);
+  obs::prof::ProfileSpan timer("fl.evaluate", &hist);
   obs::TraceSpan span("evaluate");
   EvalResult res;
   if (data.empty()) return res;

@@ -2,7 +2,7 @@
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
-#include "obs/timer.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -23,7 +23,7 @@ obs::Counter& train_samples() {
 
 LocalTrainResult local_train(Model& model, const Dataset& data,
                              const LocalTrainConfig& cfg, Rng& rng) {
-  obs::ScopedTimer timer(train_hist());
+  obs::prof::ProfileSpan timer("fl.local_train", &train_hist());
   obs::TraceSpan span("local_train");
   LocalTrainResult res;
   if (data.empty()) return res;
@@ -57,7 +57,7 @@ LocalTrainResult local_train_multi_exit(Model& model, const Dataset& data,
   LocalTrainResult res;
   if (data.empty()) return res;
   if (model.num_exits() == 0) return local_train(model, data, cfg, rng);
-  obs::ScopedTimer timer(train_hist());
+  obs::prof::ProfileSpan timer("fl.local_train", &train_hist());
   obs::TraceSpan span("local_train");
   SGD opt(cfg.lr, cfg.momentum);
   double loss_sum = 0.0;

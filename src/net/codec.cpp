@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "obs/prof/prof.hpp"
-#include "obs/timer.hpp"
 
 namespace afl::net {
 namespace {
@@ -158,9 +157,7 @@ std::size_t codec_kept_coords(std::size_t numel, Codec codec) {
 
 std::vector<std::uint32_t> topk_select(const float* data, std::size_t n,
                                        std::size_t k) {
-  static obs::Histogram& hist =
-      obs::metrics().histogram("afl.net.topk_select.seconds");
-  obs::KernelTimer timer(hist);
+  AFL_PROF_SPAN("net.topk_select");
   k = std::min(k, n);
   std::vector<std::uint32_t> idx(n);
   std::iota(idx.begin(), idx.end(), 0u);
@@ -354,9 +351,7 @@ std::size_t encode_tensor(const Tensor& t, Codec codec, std::vector<std::uint8_t
       // pairs in ascending index order. Exactly codec_kept_coords(n) entries
       // are always emitted — even zero-valued ones — so the payload size is
       // a pure function of (content, shape) and decode can cross-check k.
-      static obs::Histogram& hist =
-          obs::metrics().histogram("afl.net.sparse_encode.seconds");
-      obs::KernelTimer timer(hist);  // includes the nested topk_select time
+      AFL_PROF_SPAN("net.sparse_encode");  // wraps the nested net.topk_select
       const std::vector<std::uint32_t> kept =
           topk_select(data, n, codec_kept_coords(n, codec));
       varint_append(kept.size(), out);
@@ -379,9 +374,7 @@ Tensor decode_tensor(const std::uint8_t* data, std::size_t size, const Shape& sh
   if (codec_is_sparse(codec)) {
     // Sparse payloads are self-describing: parse and validate the index
     // stream instead of a fixed size check. Dropped coordinates are zero.
-    static obs::Histogram& hist =
-        obs::metrics().histogram("afl.net.sparse_decode.seconds");
-    obs::KernelTimer timer(hist);
+    AFL_PROF_SPAN("net.sparse_decode");
     Tensor t{Shape(shape)};
     float* out = t.data();
     std::memset(out, 0, n * sizeof(float));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/prof/prof.hpp"
 #include "util/env.hpp"
 
 namespace afl::net {
@@ -135,6 +136,7 @@ const FaultSpec* Transport::fault_for(FrameKind kind, std::size_t round,
 
 Delivery Transport::send(Session& session, FrameKind kind, const ParamSet& payload,
                          std::size_t payload_params) const {
+  AFL_PROF_SPAN("net.send");
   Delivery out;
   const bool size_only = payload.empty();
   const Codec codec =

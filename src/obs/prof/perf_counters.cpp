@@ -17,10 +17,7 @@
 namespace afl::obs::prof {
 namespace {
 
-std::atomic<bool> g_counters_enabled{[] {
-  const char* env = std::getenv("AFL_PROF_COUNTERS");
-  return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-}()};
+std::atomic<bool> g_counters_enabled{env_switch("AFL_PROF_COUNTERS", true)};
 
 std::atomic<bool> g_any_opened{false};
 std::atomic<bool> g_noticed{false};
@@ -64,6 +61,16 @@ constexpr EventSpec kEvents[kNumHwCounters] = {
 #endif
 
 }  // namespace
+
+bool env_switch(const char* name, bool fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return fallback;
+  if (std::strcmp(env, "0") == 0) return false;
+  if (std::strcmp(env, "1") == 0) return true;
+  std::fprintf(stderr, "[obs.prof] ignoring %s=%s: expected 0 or 1; staying %s\n",
+               name, env, fallback ? "on" : "off");
+  return fallback;
+}
 
 const char* hw_counter_name(std::size_t id) {
   switch (id) {

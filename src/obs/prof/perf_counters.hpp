@@ -69,9 +69,14 @@ class HwCounterGroup {
   std::uint32_t mask_ = 0;
 };
 
+/// Reads a profiler on/off switch from the environment: unset or empty gives
+/// `fallback`, "0" off and "1" on. Any other value prints one stderr warning
+/// naming the variable and its value, and gives `fallback`.
+bool env_switch(const char* name, bool fallback);
+
 /// Process-wide counter policy: AFL_PROF_COUNTERS=0 (or set_counters_enabled
 /// (false), which tests use to force the clock-only fallback) disables the
-/// syscall entirely; otherwise groups are opened on demand.
+/// syscall entirely; unset, empty or 1 opens groups on demand.
 bool counters_enabled();
 void set_counters_enabled(bool on);
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <map>
 #include <mutex>
@@ -57,7 +56,6 @@ struct Accum {
 /// One live span on a thread's stack.
 struct Frame {
   const char* name;
-  std::uint64_t wall_start;
   std::uint64_t cpu_start;
   HwSample hw_start;
   std::uint64_t child_wall_ns = 0;
@@ -120,9 +118,7 @@ void arm_report_at_exit() {
 bool profiling_enabled() {
   int v = g_enabled.load(std::memory_order_relaxed);
   if (v < 0) {
-    const char* e = std::getenv("AFL_PROFILE");
-    const bool on =
-        e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
+    static const bool on = env_switch("AFL_PROFILE", false);  // warns once
     int expected = -1;
     if (g_enabled.compare_exchange_strong(expected, on ? 1 : 0)) {
       if (on) arm_report_at_exit();
@@ -139,28 +135,39 @@ void set_profiling(bool on) {
   if (on) arm_report_at_exit();
 }
 
-ProfileSpan::ProfileSpan(const char* name) : active_(profiling_enabled()) {
-  if (!active_) return;
+ProfileSpan::ProfileSpan(const char* name, Histogram* hist)
+    : hist_(hist), active_(profiling_enabled()) {
+  if (!active_) {
+    if (hist_ != nullptr) start_ns_ = wall_now_ns();
+    return;
+  }
   ThreadState& ts = thread_state();
   Frame f;
   f.name = name;
   HwCounterGroup* hw = thread_counters();
   if (hw != nullptr) f.hw_start = hw->read();
   f.cpu_start = cpu_now_ns();
-  f.wall_start = wall_now_ns();  // last: exclude the setup above from wall
   ts.stack.push_back(f);
+  start_ns_ = wall_now_ns();  // last: exclude the setup above from wall
+}
+
+double ProfileSpan::seconds() const {
+  return static_cast<double>(wall_now_ns() - start_ns_) * 1e-9;
 }
 
 ProfileSpan::~ProfileSpan() {
-  if (!active_) return;
-  const std::uint64_t wall_end = wall_now_ns();
+  if (!active_) {
+    if (hist_ != nullptr) hist_->record(seconds());
+    return;
+  }
+  const std::uint64_t wall = wall_now_ns() - start_ns_;  // steady: never negative
   const std::uint64_t cpu_end = cpu_now_ns();
+  if (hist_ != nullptr) hist_->record(static_cast<double>(wall) * 1e-9);
   ThreadState& ts = thread_state();
   if (ts.stack.empty()) return;  // defensive; RAII keeps the stack LIFO
   Frame f = ts.stack.back();
   ts.stack.pop_back();
 
-  const std::uint64_t wall = wall_end > f.wall_start ? wall_end - f.wall_start : 0;
   const std::uint64_t cpu = cpu_end > f.cpu_start ? cpu_end - f.cpu_start : 0;
   if (!ts.stack.empty()) ts.stack.back().child_wall_ns += wall;
 

@@ -1,11 +1,17 @@
 #pragma once
-// Scoped-span profiler: where do the cycles go?
+// Scoped-span profiler: where do the cycles go? ProfileSpan is the one scoped
+// timer in the runtime.
 //
 // AFL_PROFILE=1 (or set_profiling(true)) arms the profiler; with it off a
 // ProfileSpan costs one relaxed atomic load, so the hot paths stay
 // instrumented permanently (tensor kernels, engine phases, codec, checkpoint
 // I/O) without perturbing production runs — RunResult stays byte-identical
 // either way, profiling only ever *observes*.
+//
+// A span may also carry a Histogram. Such a span always times its scope, armed
+// or not, records the seconds into the histogram once at scope exit, and
+// reports them so far through seconds(). Use one on paths whose work dwarfs
+// two clock reads (local training, aggregation, evaluation, pruning).
 //
 // Each thread keeps a stack of active spans, so nesting attributes time
 // hierarchically: a span's `wall` is its total inclusive time, its `self` is
@@ -33,7 +39,8 @@
 
 namespace afl::obs::prof {
 
-/// Is the profiler armed? First call reads AFL_PROFILE.
+/// Is the profiler armed? First call reads AFL_PROFILE (env_switch: 1 arms
+/// it; unset, empty or 0 leaves it off; anything else warns and leaves it off).
 bool profiling_enabled();
 void set_profiling(bool on);
 
@@ -53,16 +60,22 @@ struct SpanStats {
 };
 
 /// RAII span. `name` must outlive the profiler (string literals in
-/// practice). Cheap no-op while profiling is off.
+/// practice). Without a histogram it is a no-op while profiling is off.
 class ProfileSpan {
  public:
-  explicit ProfileSpan(const char* name);
+  explicit ProfileSpan(const char* name, Histogram* hist = nullptr);
   ~ProfileSpan();
   ProfileSpan(const ProfileSpan&) = delete;
   ProfileSpan& operator=(const ProfileSpan&) = delete;
 
+  /// Seconds elapsed so far (the value recorded into the histogram at scope
+  /// exit). Meaningful only for a span that carries a histogram.
+  double seconds() const;
+
  private:
+  Histogram* hist_;
   bool active_;
+  std::uint64_t start_ns_ = 0;
 };
 
 /// Merged per-span aggregates, sorted by total wall time descending.
@@ -94,8 +107,9 @@ void print_report(std::FILE* out = stderr);
 
 }  // namespace afl::obs::prof
 
-/// Convenience macro so call sites read as one line. Name must be a literal.
+/// Convenience macro so call sites read as one line: AFL_PROF_SPAN(name) or
+/// AFL_PROF_SPAN(name, &histogram). Name must be a literal.
 #define AFL_PROF_CONCAT_INNER(a, b) a##b
 #define AFL_PROF_CONCAT(a, b) AFL_PROF_CONCAT_INNER(a, b)
-#define AFL_PROF_SPAN(name) \
-  ::afl::obs::prof::ProfileSpan AFL_PROF_CONCAT(afl_prof_span_, __LINE__)(name)
+#define AFL_PROF_SPAN(...) \
+  ::afl::obs::prof::ProfileSpan AFL_PROF_CONCAT(afl_prof_span_, __LINE__)(__VA_ARGS__)

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/timer.hpp"
+#include "obs/prof/prof.hpp"
 
 namespace afl {
 
@@ -21,7 +21,7 @@ ShapeMap model_shapes(const ArchSpec& spec, const WidthPlan& plan,
 ParamSet prune_to_shapes(const ParamSet& full, const ShapeMap& shapes) {
   static obs::Histogram& hist =
       obs::metrics().histogram("afl.prune.prune_to_shapes.seconds");
-  obs::ScopedTimer timer(hist);
+  AFL_PROF_SPAN("prune.prune_to_shapes", &hist);
   ParamSet out;
   for (const auto& [name, shape] : shapes) {
     auto it = full.find(name);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <iterator>
 
+#include "obs/prof/prof.hpp"
+
 namespace afl {
 
 const char* selection_strategy_name(SelectionStrategy s) {
@@ -188,6 +190,7 @@ std::vector<double> ClientSelector::probabilities(
 }
 
 double ClientSelector::selection_entropy(std::size_t model_index) const {
+  AFL_PROF_SPAN("rl.selection_entropy");
   if (num_clients_ < 2) return 0.0;
   const Weights w = weights(model_index, {});
   const double h = w.total <= 0.0 ? 0.0 : w.entropy();

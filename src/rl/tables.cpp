@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
 
 namespace afl {
@@ -56,6 +57,7 @@ double RlTables::resource_score(std::size_t entry, std::size_t client) const {
 
 void RlTables::update(std::size_t sent, Level sent_type, std::size_t back,
                       Level back_type, std::size_t client) {
+  AFL_PROF_SPAN("rl.update");
   if (back > sent || sent >= pool_size_) {
     throw std::invalid_argument("RlTables::update: returned model grew or entry out of range");
   }
@@ -89,6 +91,7 @@ void RlTables::update(std::size_t sent, Level sent_type, std::size_t back,
 }
 
 void RlTables::update_failure(std::size_t sent, Level sent_type, std::size_t client) {
+  AFL_PROF_SPAN("rl.update");
   touch(client);
   rl_updates().inc();
   obs::TraceSpan span("rl_update");
@@ -103,6 +106,7 @@ void RlTables::update_failure(std::size_t sent, Level sent_type, std::size_t cli
 }
 
 void RlTables::update_no_response(Level sent_type, std::size_t client) {
+  AFL_PROF_SPAN("rl.update");
   touch(client);
   rl_updates().inc();
   obs::TraceSpan span("rl_update");

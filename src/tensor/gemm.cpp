@@ -5,17 +5,9 @@
 #include <vector>
 
 #include "obs/prof/prof.hpp"
-#include "obs/timer.hpp"
 
 namespace afl {
 namespace {
-
-// One histogram per kernel variant; looked up once (function-local statics in
-// the kernels below) so the steady-state cost with profiling off is a single
-// relaxed atomic load per call.
-obs::Histogram& gemm_hist(const char* name) {
-  return obs::metrics().histogram(name);
-}
 
 // The register tile is kTileRows rows of C by two vectors of kVec floats:
 // eight accumulators that stay in registers for the whole p loop, so each
@@ -85,8 +77,6 @@ void gemm_kernel(const float* a, std::size_t a_row, std::size_t a_col,
 
 void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
           std::size_t n, bool accumulate) {
-  static obs::Histogram& hist = gemm_hist("afl.tensor.gemm.seconds");
-  obs::KernelTimer timer(hist);
   AFL_PROF_SPAN("tensor.gemm");
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
   gemm_kernel(a, k, 1, b, n, c, n, m, k, n);
@@ -94,8 +84,6 @@ void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k
 
 void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
              std::size_t n, bool accumulate) {
-  static obs::Histogram& hist = gemm_hist("afl.tensor.gemm_at.seconds");
-  obs::KernelTimer timer(hist);
   AFL_PROF_SPAN("tensor.gemm_at");
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
   // A stored [k x m]; A(i, p) = a[p * m + i].
@@ -104,8 +92,6 @@ void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_
 
 void gemm_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
              std::size_t n, bool accumulate) {
-  static obs::Histogram& hist = gemm_hist("afl.tensor.gemm_bt.seconds");
-  obs::KernelTimer timer(hist);
   AFL_PROF_SPAN("tensor.gemm_bt");
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
   if (m == 0 || n == 0) return;

@@ -1,14 +1,11 @@
 #include "tensor/im2col.hpp"
 
 #include "obs/prof/prof.hpp"
-#include "obs/timer.hpp"
 
 namespace afl {
 
 void im2col_strided(const float* image, const ConvGeom& g, float* cols,
                     std::size_t row_stride, std::size_t col0) {
-  static obs::Histogram& hist = obs::metrics().histogram("afl.tensor.im2col.seconds");
-  obs::KernelTimer timer(hist);
   AFL_PROF_SPAN("tensor.im2col");
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
@@ -45,8 +42,6 @@ void im2col(const float* image, const ConvGeom& g, float* cols) {
 
 void col2im_strided(const float* cols, const ConvGeom& g, float* image,
                     std::size_t row_stride, std::size_t col0) {
-  static obs::Histogram& hist = obs::metrics().histogram("afl.tensor.col2im.seconds");
-  obs::KernelTimer timer(hist);
   AFL_PROF_SPAN("tensor.col2im");
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();

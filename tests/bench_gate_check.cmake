@@ -1,5 +1,5 @@
-# Benchmark-gate check: run bench_round_engine at a tiny scale with --out,
-# then drive `afl-insight bench` through the documented exit codes:
+# Benchmark-gate check: run one short bench_micro_kernels benchmark with
+# --out, then drive `afl-insight bench` through the documented exit codes:
 #   0  show on the fresh snapshot; diff of a snapshot against itself
 #   2  diff against a doctored (regressed) snapshot
 #   64 diff where the candidate file does not exist
@@ -15,13 +15,15 @@ endforeach()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-set(SNAP "${WORK_DIR}/BENCH_round_engine.json")
+set(SNAP "${WORK_DIR}/BENCH_micro_kernels.json")
 
-# --- produce a snapshot at toy scale ----------------------------------------
+# --- produce a snapshot from one small GEMM ---------------------------------
+# With AFL_PROFILE unset the bench arms the profiler itself, so the snapshot
+# carries a tensor.gemm section.
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env AFL_ROUNDS=2 AFL_CLIENTS=6
-          AFL_CLIENTS_PER_ROUND=3 AFL_SAMPLES=10 AFL_TEST_SAMPLES=40
-          "${BENCH}" --out "${SNAP}"
+  COMMAND ${CMAKE_COMMAND} -E env --unset=AFL_PROFILE
+          "${BENCH}" --benchmark_filter=BM_Gemm/64/256/64
+          --benchmark_min_time=0.01 --out "${SNAP}"
   RESULT_VARIABLE bench_result
   OUTPUT_VARIABLE bench_out
   ERROR_VARIABLE bench_err)
@@ -43,7 +45,7 @@ if(NOT show_result EQUAL 0)
   message(FATAL_ERROR "bench_gate_check: bench show exited ${show_result}:\n"
                       "${show_out}${show_err}")
 endif()
-if(NOT show_out MATCHES "threads=1")
+if(NOT show_out MATCHES "tensor\\.gemm")
   message(FATAL_ERROR "bench_gate_check: show output lacks sections:\n${show_out}")
 endif()
 
@@ -63,7 +65,7 @@ endif()
 # magnitude, which must trip the default 1.5x gate.
 file(READ "${SNAP}" snap_text)
 string(REPLACE "\"wall_seconds\":" "\"wall_seconds\":9" doctored "${snap_text}")
-set(BAD "${WORK_DIR}/BENCH_round_engine_regressed.json")
+set(BAD "${WORK_DIR}/BENCH_micro_kernels_regressed.json")
 file(WRITE "${BAD}" "${doctored}")
 execute_process(
   COMMAND "${INSIGHT}" bench diff "${SNAP}" "${BAD}"

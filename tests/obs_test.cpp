@@ -11,7 +11,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace afl::obs {
@@ -412,29 +411,6 @@ TEST(ObsTrace, NowMsIsMonotonic) {
   const double b = trace_now_ms();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Timers
-// ---------------------------------------------------------------------------
-
-TEST(ObsTimer, ScopedTimerRecordsIntoHistogram) {
-  Histogram h;
-  { ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.max(), 0.0);
-}
-
-TEST(ObsTimer, KernelTimerGatedByProfilingFlag) {
-  Histogram h;
-  const bool original = kernel_profiling_enabled();
-  set_kernel_profiling(false);
-  { KernelTimer t(h); }
-  EXPECT_EQ(h.count(), 0u);  // off: no record
-  set_kernel_profiling(true);
-  { KernelTimer t(h); }
-  EXPECT_EQ(h.count(), 1u);  // on: records
-  set_kernel_profiling(original);
 }
 
 }  // namespace

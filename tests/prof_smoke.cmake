@@ -2,7 +2,11 @@
 # and a trace file, then assert
 #   1. the per-span report table lands on stderr (with the hot engine spans),
 #   2. the trace contains `profile` records and still validates as a whole,
-#   3. with AFL_PROFILE unset the run prints no profiler output at all.
+#   3. a profiled run over the transport with a top-k uplink names the fl,
+#      prune, net, compress and rl spans,
+#   4. with AFL_PROFILE unset the run prints no profiler output at all,
+#   5. AFL_PROFILE=false is not a way to say 1: the run warns and stays
+#      unprofiled.
 #
 # Invoked by ctest as:
 #   cmake -DQUICKSTART=<exe> -DVALIDATOR=<exe> -DWORK_DIR=<dir> -P prof_smoke.cmake
@@ -54,6 +58,24 @@ if(NOT validate_result EQUAL 0)
           "${validate_out}${validate_err}")
 endif()
 
+# --- profiled transport run: the spans below the engine phases -------------
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env AFL_PROFILE=1 AFL_NET=1
+          AFL_NET_UPLINK_CODEC=topk10 AFL_LOG_LEVEL=warn "${QUICKSTART}" 3 8
+  RESULT_VARIABLE net_result
+  OUTPUT_VARIABLE net_out
+  ERROR_VARIABLE net_err)
+if(NOT net_result EQUAL 0)
+  message(FATAL_ERROR "prof_smoke: transport quickstart failed (${net_result}):\n${net_err}")
+endif()
+foreach(span "fl.local_train" "fl.evaluate" "fl.aggregate" "prune.prune_to_shapes"
+             "net.topk_select" "net.send" "compress.encode_update"
+             "rl.selection_entropy" "rl.update")
+  if(NOT net_err MATCHES "\n${span} ")
+    message(FATAL_ERROR "prof_smoke: span '${span}' missing from report:\n${net_err}")
+  endif()
+endforeach()
+
 # --- unprofiled run: zero profiler output -----------------------------------
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env AFL_LOG_LEVEL=warn "${QUICKSTART}" 3 8
@@ -66,6 +88,23 @@ endif()
 if(off_err MATCHES "profile spans" OR off_err MATCHES "obs\\.prof")
   message(FATAL_ERROR
           "prof_smoke: profiler output leaked with AFL_PROFILE unset:\n${off_err}")
+endif()
+
+# --- AFL_PROFILE=false: one warning, no profile ------------------------------
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env AFL_PROFILE=false AFL_LOG_LEVEL=warn
+          "${QUICKSTART}" 3 8
+  RESULT_VARIABLE false_result
+  OUTPUT_VARIABLE false_out
+  ERROR_VARIABLE false_err)
+if(NOT false_result EQUAL 0)
+  message(FATAL_ERROR "prof_smoke: AFL_PROFILE=false quickstart failed (${false_result})")
+endif()
+if(false_err MATCHES "-- profile spans")
+  message(FATAL_ERROR "prof_smoke: AFL_PROFILE=false armed the profiler:\n${false_err}")
+endif()
+if(NOT false_err MATCHES "AFL_PROFILE=false")
+  message(FATAL_ERROR "prof_smoke: no warning naming AFL_PROFILE=false:\n${false_err}")
 endif()
 
 message(STATUS "prof_smoke: span table + profile trace records OK")

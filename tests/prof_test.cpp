@@ -1,8 +1,9 @@
-// Scoped-span profiler (obs/prof): aggregation, nesting/self-time, the
-// clock-only fallback when hardware counters are unavailable, Registry
-// publication (including the reset() interplay), and `profile` trace
-// records. The profiler's no-observation guarantee (RunResult bit-identical
-// with AFL_PROFILE on/off) is covered by the engine determinism suites.
+// Scoped-span profiler (obs/prof): aggregation, nesting/self-time, spans
+// that carry a histogram, the clock-only fallback when hardware counters are
+// unavailable, Registry publication (including the reset() interplay), and
+// `profile` trace records. The profiler's no-observation guarantee
+// (RunResult bit-identical with AFL_PROFILE on/off) is covered by the engine
+// determinism suites.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,31 @@ TEST_F(ProfTest, DisabledSpansRecordNothing) {
   EXPECT_EQ(render_table(), "");
 }
 
+TEST_F(ProfTest, HistogramSpanAlwaysTimesAndProfilesOnlyWhenArmed) {
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "armed" : "off");
+    set_profiling(armed);
+    Histogram hist;
+    double seconds = 0.0;
+    {
+      ProfileSpan span("prof_test.hist", &hist);
+      spin_for(std::chrono::microseconds(200));
+      seconds = span.seconds();
+    }
+    EXPECT_GT(seconds, 0.0);
+    EXPECT_EQ(hist.count(), 1u);  // one sample per scope, armed or not
+    EXPECT_GE(hist.sum(), seconds);
+    const std::vector<SpanStats> spans = snapshot();
+    if (armed) {
+      const SpanStats* s = find(spans, "prof_test.hist");
+      ASSERT_NE(s, nullptr);
+      EXPECT_EQ(s->count, 1u);
+    } else {
+      EXPECT_TRUE(spans.empty());
+    }
+  }
+}
+
 TEST_F(ProfTest, AggregatesCountAndWall) {
   for (int i = 0; i < 5; ++i) {
     AFL_PROF_SPAN("prof_test.loop");
@@ -103,7 +129,8 @@ TEST_F(ProfTest, CountersDisabledFallsBackToClocks) {
     spin_for(std::chrono::microseconds(200));
   }
   set_counters_enabled(saved);
-  const SpanStats* s = find(snapshot(), "prof_test.noctr");
+  const std::vector<SpanStats> spans = snapshot();
+  const SpanStats* s = find(spans, "prof_test.noctr");
   ASSERT_NE(s, nullptr);
   // Clock-only: wall/CPU recorded, no hardware slots.
   EXPECT_GT(s->wall_seconds, 0.0);
@@ -126,7 +153,8 @@ TEST_F(ProfTest, MultiThreadSpansMergeIntoOneAggregate) {
   }
   for (std::thread& w : workers) w.join();
   // Exited threads flush into the orphan pool; the totals must survive.
-  const SpanStats* s = find(snapshot(), "prof_test.mt");
+  const std::vector<SpanStats> spans = snapshot();
+  const SpanStats* s = find(spans, "prof_test.mt");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, static_cast<std::uint64_t>(kThreads * kPerThread));
 }
