@@ -1,5 +1,6 @@
 #include "compress/compressor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -23,6 +24,18 @@ void check_reference(const std::string& name, const Tensor& tensor,
                                      shape_to_string(it->second.shape()) + ")"));
   }
   *ref_out = &it->second;
+}
+
+/// The row of (client, name), reset when its shape differs from `tensor`'s.
+ResidualEntry& shaped_row(ResidualStore& store, std::size_t client,
+                          const std::string& name, const Tensor& tensor) {
+  ResidualEntry& row = store.entry(client, name);
+  if (row.dims != tensor.shape()) {
+    // Geometry changed (e.g. AdaptiveFL re-assigned the client a different
+    // submodel level): old flat indices are meaningless.
+    row = ResidualEntry{tensor.shape(), {}, 0};
+  }
+  return row;
 }
 
 }  // namespace
@@ -57,34 +70,38 @@ void Compressor::encode_update(std::size_t client, ParamSet& params,
 
     ResidualEntry* row = nullptr;
     if (cfg_.error_feedback) {
-      row = &store_.entry(client, name);
-      if (row->dims != tensor.shape()) {
-        // Geometry changed (e.g. AdaptiveFL re-assigned the client a
-        // different submodel level): old flat indices are meaningless.
-        row->coords.clear();
-        row->dims = tensor.shape();
-      }
+      row = &shaped_row(store_, client, name, tensor);
       const float decay = static_cast<float>(cfg_.residual_decay);
-      // Each coordinate is touched exactly once, so the hash map's iteration
-      // order cannot affect the result.
-      for (const auto& [idx, v] : row->coords) x[idx] += decay * v;
-      row->coords.clear();
+      // Only stored (nonzero) slots fold in: an unconditional x + 0.0f would
+      // turn a -0.0f delta into +0.0f.
+      const float* v = row->values.data();
+      for (std::size_t i = 0; i < row->values.size(); ++i) {
+        if (v[i] != 0.0f) x[i] += decay * v[i];
+      }
+      if (row->values.empty()) row->values.resize(n);
     }
 
     const std::size_t k = net::codec_kept_coords(n, codec_);
     const std::vector<std::uint32_t> keep = net::topk_select(x, n, k);
-    // Mask: zero out everything unselected, re-depositing nonzero mass.
-    std::size_t ki = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ki < keep.size() && keep[ki] == i) {
-        ++ki;
-        continue;
+    // Mask: everything unselected goes to zero; with error feedback the row
+    // becomes exactly the unselected nonzero mass.
+    std::vector<float> shipped(keep.size());
+    for (std::size_t j = 0; j < keep.size(); ++j) shipped[j] = x[keep[j]];
+    if (row != nullptr) {
+      float* v = row->values.data();
+      std::size_t nonzero = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = x[i] != 0.0f ? x[i] : 0.0f;
+        nonzero += x[i] != 0.0f;
       }
-      if (row != nullptr && x[i] != 0.0f) {
-        row->coords.emplace(static_cast<std::uint32_t>(i), x[i]);
+      for (const std::uint32_t i : keep) {
+        nonzero -= v[i] != 0.0f;
+        v[i] = 0.0f;
       }
-      x[i] = 0.0f;
+      row->nonzero = nonzero;
     }
+    std::fill(x, x + n, 0.0f);
+    for (std::size_t j = 0; j < keep.size(); ++j) x[keep[j]] = shipped[j];
     dense_bytes += n * sizeof(float);
     kept_coords += keep.size();
   }
@@ -114,16 +131,18 @@ void Compressor::decode_update(ParamSet& params, const ParamSet& reference) cons
 void Compressor::reclaim(std::size_t client, const ParamSet& masked_delta) {
   if (!enabled_ || !cfg_.error_feedback) return;
   for (const auto& [name, tensor] : masked_delta) {
-    ResidualEntry& row = store_.entry(client, name);
-    if (row.dims != tensor.shape()) {
-      row.coords.clear();
-      row.dims = tensor.shape();
-    }
+    ResidualEntry& row = shaped_row(store_, client, name, tensor);
     const float* x = tensor.data();
     const std::size_t n = tensor.numel();
     for (std::size_t i = 0; i < n; ++i) {
-      if (x[i] != 0.0f) row.coords[static_cast<std::uint32_t>(i)] += x[i];
+      if (x[i] == 0.0f) continue;
+      if (row.values.empty()) row.values.resize(n);
+      // A slot that cancels to exactly 0 stores nothing afterwards. An engine
+      // run never gets here: the shipped and the dropped sets are disjoint.
+      row.values[i] += x[i];
     }
+    row.nonzero = static_cast<std::size_t>(std::count_if(
+        row.values.begin(), row.values.end(), [](float v) { return v != 0.0f; }));
   }
   obs::metrics().counter("afl.compress.reclaims").inc();
 }

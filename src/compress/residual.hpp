@@ -4,33 +4,41 @@
 //
 // When a top-k codec drops a coordinate, its gradient mass is not lost: the
 // Compressor re-deposits it here and folds it back into the client's next
-// delta before selection. Rows are stored sparsely — a hash map per
-// (client, tensor) keyed by flat index, like the RL tables — so lazy runs
-// over huge populations only pay for clients that actually trained.
+// delta before selection. Each (client, tensor) row is a dense float per
+// flat index, allocated at the row's first write, so folding, masking and
+// reclaiming are straight loops; rows exist only for clients that uploaded,
+// so lazy runs over huge populations still pay only for clients that
+// actually trained.
 //
 // Determinism: all mutation happens on the engine's sequential commit path,
-// rows are value-keyed (insertion order never matters), and snapshot()
-// serializes in sorted (client, tensor, index) order, so resumed runs are
-// bit-identical at any AFL_THREADS / shard count.
+// and snapshot() serializes the nonzero entries in sorted (client, tensor,
+// index) order, so resumed runs are bit-identical at any AFL_THREADS / shard
+// count.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/checkpoint.hpp"
 
 namespace afl::compress {
 
-/// The residual of one (client, tensor): flat index -> leftover mass, plus
+/// The residual of one (client, tensor): leftover mass per flat index, plus
 /// the shape those flat indices are taken against. A client whose submodel
 /// geometry changes between rounds gets a fresh row — flat indices are not
 /// comparable across shapes (the one documented case where mass is dropped).
 struct ResidualEntry {
   std::vector<std::size_t> dims;
-  std::unordered_map<std::uint32_t, float> coords;
+  /// One slot per flat index of `dims`, or empty until the row's first
+  /// write. A zero slot stores nothing.
+  std::vector<float> values;
+  /// Slots that are nonzero (NaN included): what num_coords() sums.
+  std::size_t nonzero = 0;
+
+  /// Stored mass at flat index `i`; 0 where nothing is stored.
+  float at(std::size_t i) const { return values.empty() ? 0.0f : values[i]; }
 };
 
 class ResidualStore {
@@ -45,13 +53,16 @@ class ResidualStore {
   void drop_client(std::size_t client);
 
   std::size_t num_clients() const { return rows_.size(); }
-  /// Total stored coordinates across all rows.
+  /// Total stored (nonzero) coordinates across all rows; sums the per-row
+  /// counts, so it never scans row values.
   std::size_t num_coords() const;
   bool empty() const { return rows_.empty(); }
   void clear() { rows_.clear(); }
 
-  /// AFLSNAP1 serialization in sorted (client, tensor, index) order; values
-  /// ride as f64 (exact for every f32). restore() replaces the store.
+  /// AFLSNAP1 serialization in sorted (client, tensor, index) order: each
+  /// row's nonzero entries as (index, f64 value) pairs (exact for every
+  /// f32). restore() replaces the store and throws std::runtime_error on a
+  /// row whose shape, count or indices it cannot hold.
   void snapshot(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 

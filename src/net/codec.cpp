@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <numeric>
+#include <functional>
 
 #include "obs/prof/prof.hpp"
 
@@ -66,11 +65,13 @@ std::uint64_t varint_read(const std::uint8_t* data, std::size_t size,
   throw CodecError("codec: overlong varint in " + what);
 }
 
-/// Magnitude key of the top-k order. NaN maps to +inf so the comparator
-/// stays a strict weak ordering on any input.
-float topk_magnitude(float v) {
-  const float m = std::fabs(v);
-  return std::isnan(m) ? std::numeric_limits<float>::infinity() : m;
+/// Magnitude key of the top-k order: the bits of |v|, with NaN clamped to
+/// +inf's bits. Non-negative floats order like their bit patterns, so the
+/// keys compare exactly as the magnitudes do (±0 share key 0).
+std::uint32_t topk_key(float v) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return std::min(bits & 0x7FFFFFFFu, 0x7F800000u);
 }
 
 /// Tensor context suffix for decode errors: ` (tensor "name")` or nothing.
@@ -159,21 +160,36 @@ std::vector<std::uint32_t> topk_select(const float* data, std::size_t n,
                                        std::size_t k) {
   AFL_PROF_SPAN("net.topk_select");
   k = std::min(k, n);
-  std::vector<std::uint32_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0u);
-  const auto larger = [data](std::uint32_t a, std::uint32_t b) {
-    const float ma = topk_magnitude(data[a]);
-    const float mb = topk_magnitude(data[b]);
-    if (ma != mb) return ma > mb;
-    return a < b;  // ties keep the lower index: fully deterministic
-  };
-  if (k < n) {
-    std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                     idx.end(), larger);
-    idx.resize(k);
+  std::vector<std::uint32_t> kept;
+  if (k == 0) return kept;
+  // The k-th largest key is the threshold: every key above it is kept, and
+  // the remaining slots go to the lowest indices whose key equals it. That is
+  // exactly the first k of the (key desc, index asc) order, found with one
+  // partition and emitted in ascending order by one scan.
+  std::uint32_t threshold = 0;
+  std::size_t above = 0;  // keys above the threshold
+  for (std::size_t i = 0; i < n; ++i) above += topk_key(data[i]) > threshold;
+  if (above > k) {  // otherwise (a masked delta, say) 0 is the threshold
+    std::vector<std::uint32_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i) keys[i] = topk_key(data[i]);
+    const auto kth = keys.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(keys.begin(), kth, keys.end(), std::greater<>());
+    threshold = *kth;
+    above = static_cast<std::size_t>(std::count_if(
+        keys.begin(), kth, [threshold](std::uint32_t key) { return key > threshold; }));
   }
-  std::sort(idx.begin(), idx.end());
-  return idx;
+  std::size_t ties = k - above;  // slots for keys equal to the threshold
+  kept.reserve(k);
+  for (std::size_t i = 0; i < n && kept.size() < k; ++i) {
+    const std::uint32_t key = topk_key(data[i]);
+    if (key > threshold) {
+      kept.push_back(static_cast<std::uint32_t>(i));
+    } else if (key == threshold && ties > 0) {
+      --ties;
+      kept.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  return kept;
 }
 
 std::uint16_t float_to_half(float value) {
@@ -256,20 +272,6 @@ std::size_t encoded_payload_size(std::size_t numel, Codec codec) {
     }
   }
   return 0;
-}
-
-std::size_t encoded_payload_size(const Tensor& t, Codec codec) {
-  if (!codec_is_sparse(codec)) return encoded_payload_size(t.numel(), codec);
-  const std::size_t n = t.numel();
-  const std::vector<std::uint32_t> kept =
-      topk_select(t.data(), n, codec_kept_coords(n, codec));
-  std::size_t bytes = varint_bytes(kept.size());
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    bytes += varint_bytes(i == 0 ? kept[i] : kept[i] - prev) + 4;
-    prev = kept[i];
-  }
-  return bytes;
 }
 
 std::size_t encode_tensor(const Tensor& t, Codec codec, std::vector<std::uint8_t>& out) {

@@ -72,8 +72,10 @@ std::size_t codec_kept_coords(std::size_t numel, Codec codec);
 
 /// Deterministic top-k selection: the indices of the `k` largest-magnitude
 /// scalars (ties broken toward the lower index; NaN sorts as +inf), returned
-/// sorted ascending. Shared by the sparse codecs and src/compress/ so both
-/// sides of the error-feedback split agree on every coordinate.
+/// sorted ascending. Linear time: one partition finds the k-th largest
+/// magnitude, and none runs when at most k scalars are nonzero. Shared by the
+/// sparse codecs and src/compress/ so both sides of the error-feedback split
+/// agree on every coordinate.
 std::vector<std::uint32_t> topk_select(const float* data, std::size_t n,
                                        std::size_t k);
 
@@ -90,12 +92,9 @@ class CodecError : public std::runtime_error {
 /// and frame-buffer reservation charge for.
 std::size_t encoded_payload_size(std::size_t numel, Codec codec);
 
-/// Content-aware payload size: the exact bytes encode_tensor() appends for
-/// `t`. Equals encoded_payload_size(t.numel(), codec) for dense codecs.
-std::size_t encoded_payload_size(const Tensor& t, Codec codec);
-
-/// Appends the tensor's encoded payload to `out`; returns the bytes appended
-/// (== encoded_payload_size(t, codec)).
+/// Appends the tensor's encoded payload to `out`; returns the bytes appended.
+/// Dense codecs append exactly encoded_payload_size(t.numel(), codec); a
+/// sparse payload's size depends on its content and never exceeds that bound.
 std::size_t encode_tensor(const Tensor& t, Codec codec, std::vector<std::uint8_t>& out);
 
 /// Decodes a payload of exactly `size` bytes into a tensor of `shape`.

@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/prof/prof.hpp"
@@ -9,11 +10,9 @@ namespace afl::net {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'F', 'N', 'W'};
-// Hard caps against hostile / corrupted frames turning into huge allocations
-// (mirrors the checkpoint loader's limits).
+// Hard cap against hostile / corrupted frames turning into huge allocations
+// (mirrors the checkpoint loader's limits), beside kMaxRank and kMaxNumel.
 constexpr std::uint64_t kMaxNameLen = 4096;
-constexpr std::uint64_t kMaxRank = 8;
-constexpr std::uint64_t kMaxNumel = 1ULL << 32;
 
 void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -75,11 +74,18 @@ std::vector<std::uint8_t> encode_frame(const FrameHeader& header, const ParamSet
     out.insert(out.end(), name.begin(), name.end());
     varint_encode(tensor.rank(), out);
     for (std::size_t d = 0; d < tensor.rank(); ++d) varint_encode(tensor.dim(d), out);
-    // Sparse payload sizes are content-dependent, so frames carry the exact
-    // length (encoded_payload_size(tensor, codec)); dense codecs are a pure
-    // function of numel and the two overloads agree.
-    varint_encode(encoded_payload_size(tensor, header.codec), out);
-    encode_tensor(tensor, header.codec, out);
+    if (codec_is_sparse(header.codec)) {
+      // A sparse payload's size depends on its content: encode it once,
+      // append its length, and rotate the length in front of the payload.
+      const std::size_t at = out.size();
+      const std::size_t len = encode_tensor(tensor, header.codec, out);
+      varint_encode(len, out);
+      std::rotate(out.begin() + static_cast<std::ptrdiff_t>(at),
+                  out.begin() + static_cast<std::ptrdiff_t>(at + len), out.end());
+    } else {
+      varint_encode(encoded_payload_size(tensor.numel(), header.codec), out);
+      encode_tensor(tensor, header.codec, out);
+    }
   }
   put_u32_le(out, crc32(out.data() + sizeof(kMagic), out.size() - sizeof(kMagic)));
   return out;
@@ -130,8 +136,11 @@ ParamSet decode_frame(const std::uint8_t* data, std::size_t size, FrameHeader* h
     std::uint64_t numel = 1;
     for (std::uint64_t d = 0; d < rank; ++d) {
       shape[d] = varint_decode(data, end, &cur);
+      // Checked before the multiply, so no product can wrap below the cap.
+      if (shape[d] != 0 && numel > kMaxNumel / shape[d]) {
+        throw WireError("wire: tensor too large");
+      }
       numel *= shape[d];
-      if (numel > kMaxNumel) throw WireError("wire: tensor too large");
     }
     const std::uint64_t payload_len = varint_decode(data, end, &cur);
     if (cur + payload_len > end) throw WireError("wire: truncated payload");

@@ -34,6 +34,12 @@ namespace afl::net {
 
 inline constexpr std::uint8_t kWireVersion = 1;
 
+/// Shape caps decode_frame() enforces on every tensor, so a hostile or
+/// corrupted frame cannot turn into a huge allocation. Other readers of
+/// tensor shapes from untrusted bytes (engine snapshots) apply the same caps.
+inline constexpr std::uint64_t kMaxRank = 8;
+inline constexpr std::uint64_t kMaxNumel = 1ULL << 32;
+
 enum class FrameKind : std::uint8_t { kDispatch = 0, kReturn = 1 };
 
 const char* frame_kind_name(FrameKind kind);

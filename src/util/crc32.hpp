@@ -3,6 +3,8 @@
 // checksum shared by the wire frames (net/wire) and the checkpoint format
 // (nn/checkpoint). Supports incremental updates: feed chunks through
 // crc32_update() starting from kCrc32Init and finalize with crc32_final().
+// The update folds eight bytes per step (slice-by-8); its output equals the
+// bit-at-a-time definition for any chunking.
 
 #include <cstddef>
 #include <cstdint>

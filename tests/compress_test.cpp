@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,7 @@ TEST(Compressor, EncodeConservesMassIntoResiduals) {
     std::size_t nonzero = 0;
     for (std::size_t i = 0; i < ref_t.numel(); ++i) {
       const float delta = train_t.data()[i] - ref_t.data()[i];
-      const auto it = row->coords.find(static_cast<std::uint32_t>(i));
-      const float residual = it == row->coords.end() ? 0.0f : it->second;
+      const float residual = row->at(i);
       // Every coordinate's mass lands either on the wire or in the residual,
       // bit-exactly: masked + residual == trained - reference.
       EXPECT_EQ(mask_t.data()[i] + residual, delta) << name << "[" << i << "]";
@@ -146,8 +146,7 @@ TEST(Compressor, ReclaimReturnsShippedMass) {
     ASSERT_NE(row, nullptr);
     for (std::size_t i = 0; i < ref_t.numel(); ++i) {
       const float delta = trained.at(name).data()[i] - ref_t.data()[i];
-      const auto it = row->coords.find(static_cast<std::uint32_t>(i));
-      const float residual = it == row->coords.end() ? 0.0f : it->second;
+      const float residual = row->at(i);
       EXPECT_EQ(residual, delta) << name << "[" << i << "]";
     }
   }
@@ -218,12 +217,8 @@ TEST(Compressor, SnapshotRoundTripsAndIsCanonical) {
       ASSERT_NE(orig, nullptr);
       ASSERT_NE(back, nullptr);
       EXPECT_EQ(orig->dims, back->dims);
-      ASSERT_EQ(orig->coords.size(), back->coords.size());
-      for (const auto& [idx, v] : orig->coords) {
-        const auto it = back->coords.find(idx);
-        ASSERT_NE(it, back->coords.end());
-        EXPECT_EQ(it->second, v);
-      }
+      EXPECT_EQ(orig->nonzero, back->nonzero);
+      EXPECT_EQ(orig->values, back->values);
     }
   }
   std::remove(path_a.c_str());
@@ -251,6 +246,179 @@ TEST(ResidualStore, ShapeChangeResetsRow) {
   const std::vector<std::size_t> large_dims{8, 8};
   EXPECT_EQ(c.residuals().find(0, "w")->dims, large_dims);
 }
+
+// Writes a residual section holding one row of client 3, tensor "fc.w", as
+// the snapshot writer would (so its CRC is valid), with the given shape,
+// entry count and entry indices.
+std::string one_row_snapshot(const std::vector<std::uint64_t>& dims, std::uint64_t nnz,
+                             const std::vector<std::uint64_t>& indices) {
+  const std::string path = ::testing::TempDir() + "compress_one_row.snap";
+  SnapshotWriter w(path);
+  w.u64(1);  // clients
+  w.u64(3);  // client id
+  w.u64(1);  // tensors
+  w.str("fc.w");
+  w.u64(dims.size());
+  for (const std::uint64_t d : dims) w.u64(d);
+  w.u64(nnz);
+  for (const std::uint64_t idx : indices) {
+    w.u64(idx);
+    w.f64(0.5);
+  }
+  w.finish();
+  return path;
+}
+
+TEST(ResidualStore, RestoreRejectsRowsItCannotHold) {
+  // A restored row is indexed by the next encode_update, so restore must
+  // refuse any row whose shape, count or indices it cannot hold.
+  struct Case {
+    const char* what;
+    std::vector<std::uint64_t> dims;
+    std::uint64_t nnz;
+    std::vector<std::uint64_t> indices;
+    const char* value;  // the offending value the message must name
+  };
+  const Case cases[] = {
+      {"index past the row", {4}, 1, {1000000}, "1000000"},
+      {"repeated index", {4}, 2, {1, 1}, "1"},
+      {"descending index", {2, 2}, 2, {3, 2}, "2"},
+      {"more entries than elements", {2, 2}, 5, {0, 1, 2, 3, 4}, "5"},
+      {"rank above the frame cap", {1, 1, 1, 1, 1, 1, 1, 1, 1}, 0, {}, "9"},
+      {"more elements than the frame cap", {65536, 65536, 2}, 0, {}, "2"},
+      {"product that wraps a u64", {4294967296, 4294967296}, 0, {}, "4294967296"},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.what);
+    const std::string path = one_row_snapshot(tc.dims, tc.nnz, tc.indices);
+    Compressor restored(sparse_transport(), CompressConfig{});
+    SnapshotReader r(path);
+    try {
+      restored.restore(r);
+      ADD_FAILURE() << "restore accepted the row";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("client 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("\"fc.w\""), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string(" ") + tc.value), std::string::npos) << msg;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Two geometries per tensor name, with values from a small alphabet so exact
+// zeros, -0.0 deltas and ties are common.
+ParamSet alphabet_params(Rng& rng, bool large) {
+  const auto fill = [&rng](Shape shape) {
+    Tensor t(std::move(shape));
+    const float alphabet[] = {0.0f, -0.0f, 1.0f, -1.0f, 0.5f};
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      t[i] = rng.uniform() < 0.5 ? alphabet[rng.uniform_index(std::size(alphabet))]
+                                 : static_cast<float>(rng.normal());
+    }
+    return t;
+  };
+  ParamSet ps;
+  ps.emplace("conv.w", fill(large ? Shape{8, 3, 3} : Shape{4, 3, 3}));
+  ps.emplace("fc.w", fill(large ? Shape{10, 12} : Shape{10, 6}));
+  return ps;
+}
+
+std::string snapshot_bytes(const Compressor& c, const std::string& path) {
+  {
+    SnapshotWriter w(path);
+    c.snapshot(w);
+    w.finish();
+  }
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+}
+
+class ResidualBookkeeping : public ::testing::TestWithParam<int> {};
+
+// A seeded mix of encodes, reclaims (including one that cancels a row to
+// zero), shape changes and departures over five clients. After every step
+// each row's running count equals a recount of its nonzero slots, and
+// num_coords() their sum; a snapshot restores to a store whose snapshot has
+// the same bytes.
+TEST_P(ResidualBookkeeping, CountsAndSnapshotsTrackEveryStep) {
+  constexpr std::size_t kClients = 5;
+  const char* const kNames[] = {"conv.w", "fc.w"};
+  Rng rng(0xB00Cu + static_cast<std::uint64_t>(GetParam()));
+  CompressConfig cfg;
+  cfg.residual_decay = GetParam() % 2 == 0 ? 0.75 : 1.0;
+  cfg.drop_departed = GetParam() < 2;
+  Compressor c(sparse_transport(), cfg);
+  std::vector<ParamSet> shipped(kClients);
+  // ctest runs each seed as its own process, so each gets its own files.
+  const std::string stem =
+      ::testing::TempDir() + "bookkeeping_" + std::to_string(GetParam());
+  const std::string path_a = stem + "_a.snap";
+  const std::string path_b = stem + "_b.snap";
+  for (int step = 0; step < 80; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::size_t client = rng.uniform_index(kClients);
+    switch (rng.uniform_index(5)) {
+      case 0:
+      case 1: {  // an upload, on either geometry
+        const bool large = rng.uniform() < 0.3;
+        const ParamSet reference = alphabet_params(rng, large);
+        ParamSet update = alphabet_params(rng, large);
+        c.encode_update(client, update, reference);
+        shipped[client] = std::move(update);
+        break;
+      }
+      case 2:  // the last upload was lost (its shape may be stale by now)
+        if (!shipped[client].empty()) c.reclaim(client, shipped[client]);
+        break;
+      case 3: {  // a reclaim that cancels every stored slot to exactly zero
+        ParamSet negated;
+        for (const char* name : kNames) {
+          const compress::ResidualEntry* row = c.residuals().find(client, name);
+          if (row == nullptr || row->values.empty()) continue;
+          Tensor t(row->dims);
+          for (std::size_t i = 0; i < t.numel(); ++i) t[i] = -row->values[i];
+          negated.emplace(name, std::move(t));
+        }
+        c.reclaim(client, negated);
+        for (const auto& [name, t] : negated) {
+          EXPECT_EQ(c.residuals().find(client, name)->nonzero, 0u) << name;
+        }
+        break;
+      }
+      default:
+        c.on_departed(client);
+        break;
+    }
+
+    std::size_t total = 0;
+    for (std::size_t id = 0; id < kClients; ++id) {
+      for (const char* name : kNames) {
+        const compress::ResidualEntry* row = c.residuals().find(id, name);
+        if (row == nullptr) continue;
+        std::size_t nonzero = 0;
+        for (const float v : row->values) nonzero += v != 0.0f;
+        EXPECT_EQ(row->nonzero, nonzero) << "client " << id << " " << name;
+        total += nonzero;
+      }
+    }
+    EXPECT_EQ(c.residuals().num_coords(), total);
+
+    const std::string bytes = snapshot_bytes(c, path_a);
+    Compressor restored(sparse_transport(), cfg);
+    {
+      SnapshotReader r(path_a);
+      restored.restore(r);
+      r.expect_end();
+    }
+    EXPECT_EQ(restored.residuals().num_coords(), total);
+    EXPECT_EQ(snapshot_bytes(restored, path_b), bytes);
+  }
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResidualBookkeeping, ::testing::Range(0, 4));
 
 // ---------------------------------------------------------------------------
 // Full-engine determinism with compression on (the contract every other

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "arch/zoo.hpp"
@@ -54,6 +55,36 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t clean = crc32(buf.data(), buf.size());
   buf[17] ^= 0x04;
   EXPECT_NE(crc32(buf.data(), buf.size()), clean);
+}
+
+// The bit-at-a-time definition: reflected polynomial 0xEDB88320, initial
+// state and final xor 0xFFFFFFFF.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseDefinitionAtAnyOffsetAndSplit) {
+  // The sliced update reads eight bytes at a time; every length, start
+  // alignment and chunk boundary must give the definition's value.
+  Rng rng(0xC4C32u);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* p = buf.data() + offset;
+      const std::uint32_t want = crc32_bitwise(p, len);
+      EXPECT_EQ(crc32(p, len), want) << "len " << len << " offset " << offset;
+      const std::size_t split = rng.uniform_index(len + 1);
+      const std::uint32_t state = crc32_update(kCrc32Init, p, split);
+      EXPECT_EQ(crc32_final(crc32_update(state, p + split, len - split)), want)
+          << "len " << len << " offset " << offset << " split " << split;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +272,6 @@ TEST(Codec, TopKRoundTripKeepsLargestExactly) {
   for (std::size_t i = 0; i < t.numel(); ++i) t.data()[i] = values[i];
   std::vector<std::uint8_t> buf;
   const std::size_t appended = net::encode_tensor(t, Codec::kTopK25, buf);
-  EXPECT_EQ(appended, net::encoded_payload_size(t, Codec::kTopK25));
   EXPECT_LE(appended, net::encoded_payload_size(t.numel(), Codec::kTopK25));
   Tensor back = net::decode_tensor(buf.data(), buf.size(), t.shape(), Codec::kTopK25);
   // k = ceil(8 * 25%) = 2: indices 1 (-3.0) and 3 (2.5) survive bit-exact.
@@ -368,6 +398,31 @@ TEST(Wire, TrailingGarbageThrows) {
       net::encode_frame({FrameKind::kDispatch, Codec::kFp32, 1, 1}, ps);
   frame.push_back(0x00);
   EXPECT_THROW((void)net::decode_frame(frame), net::WireError);
+}
+
+TEST(Wire, ShapeWhoseProductWrapsIsRejected) {
+  // dims {2^32, 2^32}: each factor is within the numel cap, but their
+  // product wraps a u64 to 0, which must not read as an empty tensor.
+  std::vector<std::uint8_t> frame = {'A', 'F', 'N', 'W', net::kWireVersion,
+                                     static_cast<std::uint8_t>(FrameKind::kDispatch),
+                                     static_cast<std::uint8_t>(Codec::kFp32)};
+  net::varint_encode(0, frame);  // round
+  net::varint_encode(0, frame);  // client
+  net::varint_encode(1, frame);  // tensor count
+  net::varint_encode(1, frame);  // name length
+  frame.push_back('w');
+  net::varint_encode(2, frame);  // rank
+  net::varint_encode(std::uint64_t{1} << 32, frame);
+  net::varint_encode(std::uint64_t{1} << 32, frame);
+  net::varint_encode(0, frame);  // payload length
+  const std::uint32_t crc = crc32(frame.data() + 4, frame.size() - 4);
+  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  try {
+    (void)net::decode_frame(frame);
+    FAIL() << "a wrapped shape was accepted";
+  } catch (const net::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("tensor too large"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Wire, EstimateCoversActualFrameSize) {
