@@ -112,8 +112,7 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    // Real-payload transport: the wire carries exactly the dispatched
-    // submodel, so byte accounting and codec error reflect what ships.
+    // The dispatched pool model; the device prunes it in local_view().
     return pool_.split(global_, s.sent_index);
   }
 
@@ -125,19 +124,8 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    Model local = pool_.build(s.back_index);
-    local.import_params(local_view(s));
-    // Lazy datasets (scale-out populations) materialize the client's shard
-    // here on the worker thread and drop it when training ends; stored
-    // datasets are read in place.
-    const Dataset* stored = data_.stored_client(s.client);
-    const Dataset shard = stored ? Dataset{} : data_.materialize_client(s.client);
-    const Dataset& client_data = stored ? *stored : shard;
-    TrainOutcome out;
-    out.stats = local_train(local, client_data, config_.local, rng);
-    out.params = local.export_params();
-    out.samples = client_data.size();
-    return out;
+    return train_client(pool_.build(s.back_index), local_view(s), data_, s.client,
+                        config_.local, rng);
   }
 
   void commit(const ClientSlot&, TrainOutcome outcome) override {

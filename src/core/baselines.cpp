@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "arch/stats.hpp"
-#include "engine/round_engine.hpp"
+#include "core/cohort_policy.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
 #include "prune/width_prune.hpp"
@@ -14,79 +14,42 @@
 namespace afl {
 namespace {
 
-/// Shared cohort plumbing for the baselines that sample K clients uniformly
-/// at the start of each round.
-class CohortPolicy : public RoundPolicy {
- public:
-  CohortPolicy(const FederatedDataset& data, const FlRunConfig& config)
-      : data_(data), config_(config) {}
-
-  void begin_round(std::size_t, Rng& rng) override {
-    cohort_ = sample_clients(data_.num_clients(), config_.clients_per_round, rng);
-  }
-
-  bool select(ClientSlot& s, Rng&) override {
-    if (s.slot >= cohort_.size()) return false;
-    s.client = cohort_[s.slot];
-    return true;
-  }
-
- protected:
-  const FederatedDataset& data_;
-  const FlRunConfig& config_;
-  std::vector<std::size_t> cohort_;
-};
-
 // ---------------------------------------------------------------------------
 // AllLarge (FedAvg)
 // ---------------------------------------------------------------------------
 
 class AllLargePolicy final : public CohortPolicy {
  public:
+  // Idealized baseline: one level, the full model, which every client trains
+  // (without a fleet every capacity is SIZE_MAX).
   AllLargePolicy(const ArchSpec& spec, const FederatedDataset& data,
                  const FlRunConfig& config)
-      : CohortPolicy(data, config), spec_(spec), full_plan_(spec.num_units(), 1.0) {}
+      : CohortPolicy(data, config, {arch_stats(spec).params}),
+        spec_(spec),
+        full_plan_(spec.num_units(), 1.0) {}
 
   std::string algorithm_name() const override { return "All-Large"; }
 
   void init_global(Rng& rng) override {
     Model model = build_full_model(spec_, &rng);
     global_ = model.export_params();
-    full_params_ = param_count(global_);
-  }
-
-  void begin_round(std::size_t round, Rng& rng) override {
-    CohortPolicy::begin_round(round, rng);
-    updates_.clear();
-  }
-
-  void adapt(ClientSlot& s) override {
-    // Idealized baseline: every client trains the full model.
-    s.params_sent = s.params_back = full_params_;
-    s.trainable = true;
   }
 
   ParamSet dispatch_params(const ClientSlot&) const override { return global_; }
 
-  ParamSet local_view(const ClientSlot& s) const override {
-    return s.rx ? *s.rx : global_;
-  }
-
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    Model local = build_full_model(spec_);
-    local.import_params(local_view(s));
-    TrainOutcome out;
-    out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
-    out.params = local.export_params();
-    out.samples = data_.clients[s.client].size();
-    return out;
+    return train_client(build_full_model(spec_), local_view(s), data_, s.client,
+                        config_.local, rng);
   }
 
   void commit(const ClientSlot&, TrainOutcome outcome) override {
     updates_.push_back({std::move(outcome.params), outcome.samples});
   }
 
-  void aggregate(std::size_t) override { global_ = fedavg_aggregate(global_, updates_); }
+  void aggregate(std::size_t) override {
+    global_ = fedavg_aggregate(global_, updates_);
+    updates_.clear();
+  }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
@@ -102,7 +65,6 @@ class AllLargePolicy final : public CohortPolicy {
  private:
   const ArchSpec& spec_;
   WidthPlan full_plan_;
-  std::size_t full_params_ = 0;
   ParamSet global_;
   std::vector<ClientUpdate> updates_;
 };
@@ -115,7 +77,10 @@ class DecoupledPolicy final : public CohortPolicy {
  public:
   DecoupledPolicy(const ArchSpec& spec, const ModelPool& pool,
                   const FederatedDataset& data, const FlRunConfig& config)
-      : CohortPolicy(data, config),
+      : CohortPolicy(data, config,
+                     {pool.entry(pool.level_head_index(Level::kLarge)).params,
+                      pool.entry(pool.level_head_index(Level::kMedium)).params,
+                      pool.entry(pool.level_head_index(Level::kSmall)).params}),
         spec_(spec),
         pool_(pool),
         heads_{pool.level_head_index(Level::kLarge),
@@ -132,40 +97,13 @@ class DecoupledPolicy final : public CohortPolicy {
     for (int l = 0; l < 3; ++l) globals_[l] = pool_.split(seed, heads_[l]);
   }
 
-  void begin_round(std::size_t round, Rng& rng) override {
-    CohortPolicy::begin_round(round, rng);
-    for (auto& u : updates_) u.clear();
-  }
-
-  void adapt(ClientSlot& s) override {
-    for (std::size_t l = 0; l < 3; ++l) {
-      if (pool_.entry(heads_[l]).params <= s.capacity) {  // largest fitting
-        s.sent_index = s.back_index = l;
-        s.params_sent = s.params_back = pool_.entry(heads_[l]).params;
-        s.trainable = true;
-        return;
-      }
-    }
-    s.sent_index = 2;
-    s.params_sent = pool_.entry(heads_[2]).params;
-  }
-
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    return globals_[s.back_index];
-  }
-
-  ParamSet local_view(const ClientSlot& s) const override {
-    return s.rx ? *s.rx : globals_[s.back_index];
+    return globals_[s.sent_index];
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    Model local = pool_.build(heads_[s.back_index]);
-    local.import_params(local_view(s));
-    TrainOutcome out;
-    out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
-    out.params = local.export_params();
-    out.samples = data_.clients[s.client].size();
-    return out;
+    return train_client(pool_.build(heads_[s.back_index]), local_view(s), data_,
+                        s.client, config_.local, rng);
   }
 
   void commit(const ClientSlot& s, TrainOutcome outcome) override {
@@ -175,6 +113,7 @@ class DecoupledPolicy final : public CohortPolicy {
   void aggregate(std::size_t) override {
     for (int l = 0; l < 3; ++l) {
       globals_[l] = fedavg_aggregate(globals_[l], updates_[l]);
+      updates_[l].clear();
     }
   }
 
@@ -216,11 +155,10 @@ class HeteroFlPolicy final : public CohortPolicy {
                  const FlRunConfig& config, const std::vector<WidthPlan>& plans,
                  const std::vector<std::string>& labels,
                  const std::vector<std::size_t>& params)
-      : CohortPolicy(data, config),
+      : CohortPolicy(data, config, params),
         spec_(spec),
         level_plans_(plans),
-        level_labels_(labels),
-        level_params_(params) {}
+        level_labels_(labels) {}
 
   std::string algorithm_name() const override { return "HeteroFL"; }
 
@@ -229,47 +167,23 @@ class HeteroFlPolicy final : public CohortPolicy {
     global_ = full_model.export_params();
   }
 
-  void begin_round(std::size_t round, Rng& rng) override {
-    CohortPolicy::begin_round(round, rng);
-    updates_.clear();
-  }
-
-  void adapt(ClientSlot& s) override {
-    for (std::size_t l = 0; l < level_params_.size(); ++l) {
-      if (level_params_[l] <= s.capacity) {
-        s.sent_index = s.back_index = l;
-        s.params_sent = s.params_back = level_params_[l];
-        s.trainable = true;
-        return;
-      }
-    }
-    s.sent_index = level_params_.size() - 1;
-    s.params_sent = level_params_.back();
-  }
-
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    return prune_params(global_, spec_, level_plans_[s.back_index]);
-  }
-
-  ParamSet local_view(const ClientSlot& s) const override {
-    return s.rx ? *s.rx : prune_params(global_, spec_, level_plans_[s.back_index]);
+    return prune_params(global_, spec_, level_plans_[s.sent_index]);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    Model local = build_model(spec_, level_plans_[s.back_index]);
-    local.import_params(local_view(s));
-    TrainOutcome out;
-    out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
-    out.params = local.export_params();
-    out.samples = data_.clients[s.client].size();
-    return out;
+    return train_client(build_model(spec_, level_plans_[s.back_index]), local_view(s),
+                        data_, s.client, config_.local, rng);
   }
 
   void commit(const ClientSlot&, TrainOutcome outcome) override {
     updates_.push_back({std::move(outcome.params), outcome.samples});
   }
 
-  void aggregate(std::size_t) override { global_ = hetero_aggregate(global_, updates_); }
+  void aggregate(std::size_t) override {
+    global_ = hetero_aggregate(global_, updates_);
+    updates_.clear();
+  }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
@@ -292,7 +206,6 @@ class HeteroFlPolicy final : public CohortPolicy {
   const ArchSpec& spec_;
   const std::vector<WidthPlan>& level_plans_;
   const std::vector<std::string>& level_labels_;
-  const std::vector<std::size_t>& level_params_;
   ParamSet global_;
   std::vector<ClientUpdate> updates_;
 };

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "arch/stats.hpp"
-#include "engine/round_engine.hpp"
+#include "core/cohort_policy.hpp"
 #include "prune/rolling.hpp"
 
 namespace afl {
@@ -15,13 +15,12 @@ namespace {
 /// window rolls by one index per round. The rolling plan is a pure function
 /// of (spec, ratio, round), so workers and the commit path recompute it
 /// instead of sharing state.
-class RollingFlPolicy final : public RoundPolicy {
+class RollingFlPolicy final : public CohortPolicy {
  public:
   RollingFlPolicy(const ArchSpec& spec, const FederatedDataset& data,
                   const FlRunConfig& config, const std::vector<double>& ratios,
                   const std::vector<std::size_t>& params)
-      : spec_(spec), data_(data), config_(config), level_ratios_(ratios),
-        level_params_(params) {}
+      : CohortPolicy(data, config, params), spec_(spec), level_ratios_(ratios) {}
 
   std::string algorithm_name() const override { return "FedRolex*"; }
 
@@ -30,45 +29,17 @@ class RollingFlPolicy final : public RoundPolicy {
     global_ = full_model.export_params();
   }
 
-  void begin_round(std::size_t, Rng& rng) override {
-    cohort_ = sample_clients(data_.num_clients(), config_.clients_per_round, rng);
-    updates_.clear();
-  }
-
-  bool select(ClientSlot& s, Rng&) override {
-    if (s.slot >= cohort_.size()) return false;
-    s.client = cohort_[s.slot];
-    return true;
-  }
-
-  void adapt(ClientSlot& s) override {
-    for (std::size_t l = 0; l < level_params_.size(); ++l) {
-      if (level_params_[l] <= s.capacity) {
-        s.sent_index = s.back_index = l;
-        s.params_sent = s.params_back = level_params_[l];
-        s.trainable = true;
-        return;
-      }
-    }
-    s.sent_index = level_params_.size() - 1;
-    s.params_sent = level_params_.back();
-  }
-
-  ParamSet local_view(const ClientSlot& s) const override {
+  ParamSet dispatch_params(const ClientSlot& s) const override {
     // The rolling window is a pure function of (ratio, round).
     const RollingPlan plan =
-        make_rolling_plan(spec_, level_ratios_[s.back_index], s.round);
+        make_rolling_plan(spec_, level_ratios_[s.sent_index], s.round);
     return rolling_extract(global_, spec_, plan);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    Model local = build_model(spec_, uniform_plan(spec_, level_ratios_[s.back_index]));
-    local.import_params(local_view(s));
-    TrainOutcome out;
-    out.stats = local_train(local, data_.clients[s.client], config_.local, rng);
-    out.params = local.export_params();
-    out.samples = data_.clients[s.client].size();
-    return out;
+    const WidthPlan plan = uniform_plan(spec_, level_ratios_[s.back_index]);
+    return train_client(build_model(spec_, plan), local_view(s), data_, s.client,
+                        config_.local, rng);
   }
 
   void commit(const ClientSlot& s, TrainOutcome outcome) override {
@@ -78,6 +49,7 @@ class RollingFlPolicy final : public RoundPolicy {
 
   void aggregate(std::size_t) override {
     global_ = rolling_aggregate(global_, spec_, updates_);
+    updates_.clear();
   }
 
   // The rolling window is derived from the round index, so the global model
@@ -105,13 +77,9 @@ class RollingFlPolicy final : public RoundPolicy {
 
  private:
   const ArchSpec& spec_;
-  const FederatedDataset& data_;
-  const FlRunConfig& config_;
-  const std::vector<double>& level_ratios_;    // 1.0 / r_medium / r_small
-  const std::vector<std::size_t>& level_params_;
+  const std::vector<double>& level_ratios_;  // 1.0 / r_medium / r_small
 
   ParamSet global_;
-  std::vector<std::size_t> cohort_;
   std::vector<RollingUpdate> updates_;
 };
 

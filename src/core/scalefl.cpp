@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "engine/round_engine.hpp"
+#include "core/cohort_policy.hpp"
 #include "fl/aggregate.hpp"
 #include "prune/width_prune.hpp"
 
@@ -24,17 +24,23 @@ std::string width_label(double w) {
   return buf;
 }
 
+/// The level sizes, largest first: CohortPolicy's capacity ladder.
+std::vector<std::size_t> level_sizes(const std::vector<ScaleFlLevel>& levels) {
+  std::vector<std::size_t> sizes;
+  for (const ScaleFlLevel& level : levels) sizes.push_back(level.params);
+  return sizes;
+}
+
 /// ScaleFL as a RoundPolicy: random cohort, level matched to the device's
 /// instantaneous capacity, multi-exit local training with self-distillation,
 /// heterogeneous aggregation.
-class ScaleFlPolicy final : public RoundPolicy {
+class ScaleFlPolicy final : public CohortPolicy {
  public:
   ScaleFlPolicy(const ArchSpec& spec, const FederatedDataset& data,
                 const FlRunConfig& config, const BuildOptions& global_options,
                 const std::vector<ScaleFlLevel>& levels, double distill_weight)
-      : spec_(spec),
-        data_(data),
-        config_(config),
+      : CohortPolicy(data, config, level_sizes(levels)),
+        spec_(spec),
         global_options_(global_options),
         levels_(levels),
         local_(config.local) {
@@ -49,54 +55,25 @@ class ScaleFlPolicy final : public RoundPolicy {
     global_ = global_model.export_params();
   }
 
-  void begin_round(std::size_t, Rng& rng) override {
-    cohort_ = sample_clients(data_.num_clients(), config_.clients_per_round, rng);
-    updates_.clear();
-  }
-
-  bool select(ClientSlot& s, Rng&) override {
-    if (s.slot >= cohort_.size()) return false;
-    s.client = cohort_[s.slot];
-    return true;
-  }
-
-  void adapt(ClientSlot& s) override {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      if (levels_[l].params <= s.capacity) {
-        s.sent_index = s.back_index = l;
-        s.params_sent = s.params_back = levels_[l].params;
-        s.trainable = true;
-        return;
-      }
-    }
-    // Even the smallest level exceeds the instantaneous capacity: the server
-    // still shipped it (it cannot observe device state), so the dispatch is
-    // recorded — and wasted.
-    s.sent_index = levels_.size() - 1;
-    s.params_sent = levels_.back().params;
-  }
-
-  ParamSet local_view(const ClientSlot& s) const override {
-    const ScaleFlLevel& level = levels_[s.back_index];
+  ParamSet dispatch_params(const ClientSlot& s) const override {
+    const ScaleFlLevel& level = levels_[s.sent_index];
     return prune_to_shapes(global_, model_shapes(spec_, level.plan, level.options));
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     const ScaleFlLevel& level = levels_[s.back_index];
-    Model model = build_model(spec_, level.plan, nullptr, level.options);
-    model.import_params(local_view(s));
-    TrainOutcome out;
-    out.stats = local_train_multi_exit(model, data_.clients[s.client], local_, rng);
-    out.params = model.export_params();
-    out.samples = data_.clients[s.client].size();
-    return out;
+    return train_client(build_model(spec_, level.plan, nullptr, level.options),
+                        local_view(s), data_, s.client, local_, rng);
   }
 
   void commit(const ClientSlot&, TrainOutcome outcome) override {
     updates_.push_back({std::move(outcome.params), outcome.samples});
   }
 
-  void aggregate(std::size_t) override { global_ = hetero_aggregate(global_, updates_); }
+  void aggregate(std::size_t) override {
+    global_ = hetero_aggregate(global_, updates_);
+    updates_.clear();
+  }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
@@ -121,14 +98,11 @@ class ScaleFlPolicy final : public RoundPolicy {
 
  private:
   const ArchSpec& spec_;
-  const FederatedDataset& data_;
-  const FlRunConfig& config_;
   const BuildOptions& global_options_;
   const std::vector<ScaleFlLevel>& levels_;  // descending size; [0] = full
   LocalTrainConfig local_;
 
   ParamSet global_;
-  std::vector<std::size_t> cohort_;
   std::vector<ClientUpdate> updates_;
 };
 

@@ -104,9 +104,8 @@ Admission Dispatcher::admit(Dispatch& d, Rng& rng, std::size_t presence_round) {
     d.sess = transport.session(s.round, s.client);
     d.sess.set_lifecycle_tags(lifecycle.active() ? static_cast<long long>(d.id) : -1,
                               d.shard, version);
-    net::Delivery down =
-        transport.send(d.sess, net::FrameKind::kDispatch,
-                       payload ? payload(s) : policy.dispatch_params(s), s.params_sent);
+    net::Delivery down = transport.send(d.sess, net::FrameKind::kDispatch,
+                                        payload ? payload(s) : policy.dispatch_params(s));
     record_transfer(result.comm, down.transfer, /*uplink=*/false);
     const double down_end = d.base + d.sess.elapsed_seconds();
     lifecycle.phase(d.id, kPhaseDownlink, d.base, down_end, down.transfer.attempts,
@@ -116,10 +115,8 @@ Admission Dispatcher::admit(Dispatch& d, Rng& rng, std::size_t presence_round) {
       a.failure = DispatchFailure::kLostDownlink;
       return a;
     }
-    if (!down.params.empty()) {
-      d.rx = std::make_unique<ParamSet>(std::move(down.params));
-      s.rx = d.rx.get();
-    }
+    d.rx = std::make_unique<ParamSet>(std::move(down.params));
+    s.rx = d.rx.get();
     d.down_bytes = down.transfer.bytes;
     // Local compute is charged exactly once per dispatch (ClientClock):
     // re-uploads re-pay transfer only, never the training.
@@ -143,8 +140,7 @@ Uplink Dispatcher::send_update(Dispatch& d, double reupload_backoff_s) {
   up.start_elapsed = d.sess.elapsed_seconds();
   net::Delivery sent;
   for (;;) {
-    sent = transport.send(d.sess, net::FrameKind::kReturn, d.outcome.params,
-                          d.slot.params_back);
+    sent = transport.send(d.sess, net::FrameKind::kReturn, d.outcome.params);
     record_transfer(result.comm, sent.transfer, /*uplink=*/true);
     up.attempts += sent.transfer.attempts;
     up.backoff_seconds += sent.transfer.backoff_seconds;
@@ -159,7 +155,7 @@ Uplink Dispatcher::send_update(Dispatch& d, double reupload_backoff_s) {
   up.delivered = sent.transfer.delivered;
   if (!up.delivered) {
     compressor.reclaim(d.slot.client, d.outcome.params);  // error feedback
-  } else if (!sent.params.empty()) {
+  } else {
     d.outcome.params = std::move(sent.params);
   }
   return up;

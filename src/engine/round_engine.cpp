@@ -80,6 +80,20 @@ class EdgeAggregator {
 
 }  // namespace
 
+TrainOutcome train_client(Model model, ParamSet view, const FederatedDataset& data,
+                          std::size_t client, const LocalTrainConfig& cfg, Rng& rng) {
+  model.import_params(view);
+  view.clear();  // the model holds its own copy while it trains
+  const Dataset* stored = data.stored_client(client);
+  const Dataset shard = stored ? Dataset{} : data.materialize_client(client);
+  const Dataset& client_data = stored ? *stored : shard;
+  TrainOutcome out;
+  out.stats = local_train(model, client_data, cfg, rng);
+  out.params = model.export_params();
+  out.samples = client_data.size();
+  return out;
+}
+
 RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
                          const pop::Population* population,
                          const hier::HierConfig& hier)

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "data/federated.hpp"
 #include "engine/run.hpp"
 #include "fl/local_train.hpp"
 #include "hier/config.hpp"
@@ -74,9 +75,9 @@ struct ClientSlot {
   std::size_t back_index = 0;
   std::size_t params_back = 0;
   /// Decoded downlink payload, set by the engine's transport when a channel
-  /// is configured and the policy exposes dispatch_params(). The tensors the
-  /// device actually received — codec-quantized when the codec is lossy.
-  /// Null on the identity path, where local_view() reads the global.
+  /// is configured: the dispatch_params() tensors the device actually
+  /// received, codec-quantized when the codec is lossy. Null on the identity
+  /// path, where local_view() reads the global.
   const ParamSet* rx = nullptr;
 };
 
@@ -86,6 +87,14 @@ struct TrainOutcome {
   std::size_t samples = 0;   // client dataset size (aggregation weight)
   LocalTrainResult stats;
 };
+
+/// The one client step every policy's execute() runs: imports `view` into
+/// `model` (releasing `view` before training), trains it on `client`'s data
+/// and exports the result. A stored shard is read in place; a lazy dataset's
+/// shard (scale-out populations) is materialized on the calling worker
+/// thread and dropped when training ends.
+TrainOutcome train_client(Model model, ParamSet view, const FederatedDataset& data,
+                          std::size_t client, const LocalTrainConfig& cfg, Rng& rng);
 
 /// Per-algorithm policy hooks. Every hook except execute() runs sequentially
 /// on the engine thread; see the determinism contract above.
@@ -124,36 +133,26 @@ class RoundPolicy {
   /// The client is excluded from aggregation like an availability failure.
   virtual void on_transport_failure(const ClientSlot& slot) { (void)slot; }
 
-  /// The parameter payload the server ships for this slot (the dispatched
-  /// submodel, sized sent_index). Only called when a transport channel is
-  /// configured; runs on the engine thread after adapt(). Policies that
-  /// return a non-empty set get real byte accounting and codec quantization
-  /// of what the client trains on (via slot.rx); the default (empty) keeps
-  /// the transport in size-only simulation driven by params_sent.
-  virtual ParamSet dispatch_params(const ClientSlot& slot) const {
-    (void)slot;
-    return {};
-  }
+  /// The parameter payload the server ships for this slot: the dispatched
+  /// submodel (sent_index) split from the current global. With a transport
+  /// the downlink frame carries exactly this, so its bytes are real and a
+  /// lossy codec quantizes what the client trains on (via slot.rx). Runs on
+  /// the engine thread after adapt(), and in local_view() on a worker.
+  virtual ParamSet dispatch_params(const ClientSlot& slot) const = 0;
 
-  /// What the client trains on: the parameter set for this slot, built from
-  /// slot.rx when present, else from the policy's current global. execute()
-  /// imports exactly this, and a sparsifying uplink codec (src/compress/,
-  /// docs/COMPRESSION.md) measures the trained update against it: the uplink
-  /// ships top-k(trained - local_view() + residual). The default throws:
-  /// silently compressing against the wrong reference would corrupt
-  /// training, so policies must opt in explicitly.
+  /// What the client trains on: execute() imports exactly this, and a
+  /// sparsifying uplink codec (src/compress/, docs/COMPRESSION.md) measures
+  /// the trained update against it: the uplink ships top-k(trained -
+  /// local_view() + residual). The default is what the device received.
+  /// A policy whose device prunes the payload further overrides it.
   virtual ParamSet local_view(const ClientSlot& slot) const {
-    (void)slot;
-    throw std::runtime_error(
-        algorithm_name() +
-        " does not implement local_view(); sparse uplink codecs "
-        "(AFL_NET_CODEC=topk*) need the policy to expose the imported "
-        "parameter set");
+    return slot.rx ? *slot.rx : dispatch_params(slot);
   }
 
-  /// One client's local work: build -> import -> train -> export. Runs on a
-  /// worker thread; must be effectively const (no shared-state mutation) and
-  /// must draw randomness only from `rng`.
+  /// One client's local work, normally one train_client() call on the
+  /// slot's model and local_view(). Runs on a worker thread; must be
+  /// effectively const (no shared-state mutation) and must draw randomness
+  /// only from `rng`.
   virtual TrainOutcome execute(const ClientSlot& slot, Rng& rng) const = 0;
 
   /// Stores the trained update for aggregation. Slot order.

@@ -24,13 +24,11 @@ struct LocalTrainResult {
   double seconds = 0.0;  // wall time spent in this training call
 };
 
-/// Plain local training on the model's final classifier.
+/// Local SGD on `data`. A model without early exits trains its final
+/// classifier; a multi-exit model (ScaleFL) trains every exit with
+/// cross-entropy, and each non-final exit also distills from the final
+/// exit's logits (cfg.distill_weight).
 LocalTrainResult local_train(Model& model, const Dataset& data,
                              const LocalTrainConfig& cfg, Rng& rng);
-
-/// Multi-exit local training (ScaleFL): every exit optimizes cross-entropy,
-/// and each non-final exit additionally distills from the final exit's logits.
-LocalTrainResult local_train_multi_exit(Model& model, const Dataset& data,
-                                        const LocalTrainConfig& cfg, Rng& rng);
 
 }  // namespace afl

@@ -88,8 +88,7 @@ class CodecError : public std::runtime_error {
 /// Payload bytes a tensor of `numel` scalars occupies under `codec`
 /// (including the int8 per-tensor header). For sparse codecs the true size
 /// is content-dependent; this returns the worst-case bound (every index
-/// delta at its maximal varint width), which size-only transport simulation
-/// and frame-buffer reservation charge for.
+/// delta at its maximal varint width), which frame-buffer reservation uses.
 std::size_t encoded_payload_size(std::size_t numel, Codec codec);
 
 /// Appends the tensor's encoded payload to `out`; returns the bytes appended.

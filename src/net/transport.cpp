@@ -134,26 +134,21 @@ const FaultSpec* Transport::fault_for(FrameKind kind, std::size_t round,
   return nullptr;
 }
 
-Delivery Transport::send(Session& session, FrameKind kind, const ParamSet& payload,
-                         std::size_t payload_params) const {
+Delivery Transport::send(Session& session, FrameKind kind,
+                         const ParamSet& payload) const {
   AFL_PROF_SPAN("net.send");
   Delivery out;
-  const bool size_only = payload.empty();
   const Codec codec =
       kind == FrameKind::kReturn ? config_.uplink() : config_.codec;
-  std::vector<std::uint8_t> frame;
-  if (!size_only) {
-    frame = encode_frame({kind, codec, session.round_, session.client_}, payload);
-  }
-  const std::size_t frame_bytes =
-      size_only ? estimate_frame_bytes(payload_params, codec) : frame.size();
+  const std::vector<std::uint8_t> frame =
+      encode_frame({kind, codec, session.round_, session.client_}, payload);
   const FaultSpec* fault = fault_for(kind, session.round_, session.client_);
   const ChannelConfig& channel = channel_for(session.client_);
 
   for (std::size_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
     ++out.transfer.attempts;
-    out.transfer.bytes += frame_bytes;
-    double seconds = transfer_seconds(channel, frame_bytes);
+    out.transfer.bytes += frame.size();
+    double seconds = transfer_seconds(channel, frame.size());
     const FaultSpec* f = attempt == 0 ? fault : nullptr;
     if (f != nullptr && f->kind == FaultSpec::Kind::kDelay) seconds += f->delay_s;
     session.add_seconds(seconds);
@@ -163,19 +158,15 @@ Delivery Transport::send(Session& session, FrameKind kind, const ParamSet& paylo
     if (f != nullptr && f->kind == FaultSpec::Kind::kDrop) {
       lost = true;
     } else if (f != nullptr && f->kind == FaultSpec::Kind::kCorrupt) {
-      if (size_only) {
-        lost = true;  // nothing to corrupt; the frame is unusable either way
-      } else {
-        // Genuinely flip a payload byte and let the wire CRC catch it — this
-        // is the integrity path the retransmission recovers from.
-        std::vector<std::uint8_t> corrupted = frame;
-        corrupted[corrupted.size() / 2] ^= 0x5Au;
-        try {
-          (void)decode_frame(corrupted);
-          throw std::logic_error("net: corrupted frame passed CRC");
-        } catch (const WireError&) {
-          lost = true;
-        }
+      // Genuinely flip a payload byte and let the wire CRC catch it — this
+      // is the integrity path the retransmission recovers from.
+      std::vector<std::uint8_t> corrupted = frame;
+      corrupted[corrupted.size() / 2] ^= 0x5Au;
+      try {
+        (void)decode_frame(corrupted);
+        throw std::logic_error("net: corrupted frame passed CRC");
+      } catch (const WireError&) {
+        lost = true;
       }
     } else if (attempt_lost(channel, session.rng_)) {
       lost = true;
@@ -183,7 +174,7 @@ Delivery Transport::send(Session& session, FrameKind kind, const ParamSet& paylo
 
     if (!lost) {
       out.transfer.delivered = true;
-      if (!size_only) out.params = decode_frame(frame);
+      out.params = decode_frame(frame);
       return out;
     }
     if (attempt < config_.max_retries) {

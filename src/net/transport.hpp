@@ -93,7 +93,7 @@ struct TransferResult {
   double backoff_seconds = 0.0;
 };
 
-/// A transfer plus its decoded payload (empty in size-only mode or on loss).
+/// A transfer plus its decoded payload (empty when the frame was lost).
 struct Delivery {
   TransferResult transfer;
   ParamSet params;
@@ -211,12 +211,9 @@ class Transport {
   }
 
   /// Ships `payload` as one frame through the channel, retrying lost or
-  /// corrupt frames with capped exponential backoff. With an empty payload
-  /// the transport runs in size-only mode: bytes are estimated from
-  /// `payload_params` and no ParamSet crosses (Delivery.params stays empty).
-  /// Accumulates simulated time into the session.
-  Delivery send(Session& session, FrameKind kind, const ParamSet& payload,
-                std::size_t payload_params) const;
+  /// corrupt frames with capped exponential backoff, and charges the real
+  /// frame's bytes. Accumulates simulated time into the session.
+  Delivery send(Session& session, FrameKind kind, const ParamSet& payload) const;
 
  private:
   const FaultSpec* fault_for(FrameKind kind, std::size_t round,

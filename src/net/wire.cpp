@@ -160,10 +160,4 @@ ParamSet decode_frame(const std::uint8_t* data, std::size_t size, FrameHeader* h
   return params;
 }
 
-std::size_t estimate_frame_bytes(std::size_t param_count, Codec codec) {
-  // Fixed header + trailing CRC, plus a flat allowance standing in for the
-  // per-tensor name/dims metadata real frames carry.
-  return 11 + encoded_payload_size(param_count, codec) + 64;
-}
-
 }  // namespace afl::net

@@ -76,10 +76,4 @@ inline ParamSet decode_frame(const std::vector<std::uint8_t>& frame,
   return decode_frame(frame.data(), frame.size(), header);
 }
 
-/// Approximate frame size for a payload of `param_count` scalars — used when
-/// a policy does not expose real tensors and the transport simulates sizes
-/// only. Payload bytes are exact for the codec; the per-tensor name/dims
-/// overhead is a flat allowance.
-std::size_t estimate_frame_bytes(std::size_t param_count, Codec codec);
-
 }  // namespace afl::net

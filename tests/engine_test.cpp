@@ -74,10 +74,14 @@ TEST(ThreadPool, AtLeastOneThread) {
 // RoundEngine with mock policies
 // ---------------------------------------------------------------------------
 
+/// `numel` zero scalars under one name: the mock's wire payloads.
+ParamSet mock_params(std::size_t numel) { return {{"w", Tensor::zeros({numel})}}; }
+
 /// Scriptable policy: selects clients 0..num_clients-1 in slot order (under
-/// the async engine, the lowest client not in flight), trains "successfully"
-/// by stamping the derived RNG's first draw into the outcome, and records
-/// every hook call for sequencing assertions.
+/// the async engine, the lowest client not in flight), ships 100 scalars,
+/// trains "successfully" by stamping the derived RNG's first draw into the
+/// outcome and returning 60 scalars, and records every hook call for
+/// sequencing assertions.
 class MockPolicy : public AsyncRoundPolicy {
  public:
   explicit MockPolicy(std::size_t num_clients) : num_clients_(num_clients) {}
@@ -128,11 +132,14 @@ class MockPolicy : public AsyncRoundPolicy {
     log_.push_back("transport_failure:" + std::to_string(s.client));
   }
 
+  ParamSet dispatch_params(const ClientSlot&) const override { return mock_params(100); }
+
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     TrainOutcome out;
     // Stamp the derived stream so determinism tests can compare what each
     // client actually drew.
     out.stats.mean_loss = rng.uniform();
+    out.params = mock_params(60);
     out.samples = s.client + 1;
     executions_.fetch_add(1);
     return out;
@@ -355,10 +362,16 @@ TEST(RoundEngine, EvalEveryZeroStillProducesFinalPoint) {
 // RoundEngine + simulated transport
 // ---------------------------------------------------------------------------
 
-TEST(RoundEngine, SizeOnlyTransportChargesEstimatedBytes) {
-  // MockPolicy does not override dispatch_params(), so the transport runs in
-  // size-only mode: bytes are estimated from params_sent / params_back and
-  // no payload crosses (slot.rx stays null, training is unchanged).
+/// On-wire bytes of one mock frame (100 scalars down, 60 up) on an fp32
+/// channel; rounds and clients below 128 take one varint byte each.
+std::size_t mock_frame_bytes(net::FrameKind kind) {
+  const std::size_t numel = kind == net::FrameKind::kDispatch ? 100 : 60;
+  return net::encode_frame({kind, net::Codec::kFp32, 1, 0}, mock_params(numel)).size();
+}
+
+TEST(RoundEngine, TransportChargesRealFrameBytes) {
+  // The downlink ships dispatch_params() and the uplink the trained update,
+  // each as one real frame whose bytes the channel charges.
   MockPolicy policy(3);
   auto fleet = mock_fleet(3, 1000, 1.0);
   FlRunConfig cfg = mock_config(2, 3);
@@ -368,8 +381,10 @@ TEST(RoundEngine, SizeOnlyTransportChargesEstimatedBytes) {
   RunResult r = engine.run(policy);
 
   EXPECT_EQ(r.failed_trainings, 0u);
-  const std::size_t down = net::estimate_frame_bytes(100, net::Codec::kFp32);
-  const std::size_t up = net::estimate_frame_bytes(60, net::Codec::kFp32);
+  const std::size_t down = mock_frame_bytes(net::FrameKind::kDispatch);
+  const std::size_t up = mock_frame_bytes(net::FrameKind::kReturn);
+  EXPECT_GT(down, 100 * sizeof(float));
+  EXPECT_GT(up, 60 * sizeof(float));
   EXPECT_EQ(r.comm.bytes_sent(), 6 * down);  // 2 rounds x 3 clients
   EXPECT_EQ(r.comm.bytes_returned(), 6 * up);
   EXPECT_EQ(r.comm.retransmits(), 0u);
@@ -402,8 +417,7 @@ TEST(RoundEngine, DownlinkDropExcludesClientLikeNoResponse) {
                        std::string("commit:1")),
             0);
   // The dropped dispatch still charged the wire (unified accounting).
-  EXPECT_EQ(r.comm.bytes_sent(),
-            3 * net::estimate_frame_bytes(100, net::Codec::kFp32));
+  EXPECT_EQ(r.comm.bytes_sent(), 3 * mock_frame_bytes(net::FrameKind::kDispatch));
 }
 
 TEST(RoundEngine, UplinkDropDiscardsTrainedUpdate) {

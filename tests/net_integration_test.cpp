@@ -1,18 +1,22 @@
 // End-to-end tests of the simulated transport wired through the RoundEngine:
 // AdaptiveFL training through a quantized codec on a lossy, deadline-bounded
-// channel, straggler exclusion, fault-injection recovery, and trace purity
-// (a transportless run must emit no net-layer trace fields).
+// channel, straggler exclusion, fault-injection recovery, trace purity (a
+// transportless run must emit no net-layer trace fields), and all six
+// policies on one wire contract and one client step.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/rolling_fl.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
+#include "pop/config.hpp"
 
 namespace afl {
 namespace {
@@ -161,6 +165,126 @@ TEST(NetIntegration, TransportTraceCarriesNetFields) {
   EXPECT_NE(trace.find("\"stragglers\""), std::string::npos);
   std::remove(path.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// All six policies: one wire contract, one client step
+// ---------------------------------------------------------------------------
+
+enum class Policy { kAllLarge, kDecoupled, kHeteroFl, kScaleFl, kFedRolex, kAdaptiveFl };
+
+RunResult run_policy(Policy policy, const ExperimentEnv& env) {
+  switch (policy) {
+    case Policy::kAllLarge: return run_algorithm(Algorithm::kAllLarge, env);
+    case Policy::kDecoupled: return run_algorithm(Algorithm::kDecoupled, env);
+    case Policy::kHeteroFl: return run_algorithm(Algorithm::kHeteroFl, env);
+    case Policy::kScaleFl: return run_algorithm(Algorithm::kScaleFl, env);
+    case Policy::kFedRolex:  // not in Algorithm: built directly
+      return RollingFl(env.spec, env.pool_config, env.data, env.devices, env.run).run();
+    case Policy::kAdaptiveFl: return run_algorithm(Algorithm::kAdaptiveFl, env);
+  }
+  return RunResult{};
+}
+
+/// make_env() with the transport pinned off and the population static, so
+/// AFL_* variables in the environment cannot reach the runs.
+ExperimentEnv pinned_env(const ExperimentConfig& cfg) {
+  ExperimentEnv env = make_env(cfg);
+  env.run.net = net::NetConfig{};
+  env.run.pop = pop::PopConfig{};
+  return env;
+}
+
+ExperimentConfig wire_config(std::size_t rounds) {
+  ExperimentConfig cfg;
+  cfg.num_clients = 8;
+  cfg.clients_per_round = 4;
+  cfg.samples_per_client = 10;
+  cfg.test_samples = 200;
+  cfg.image_hw = 8;
+  cfg.rounds = rounds;
+  cfg.local_epochs = 1;
+  cfg.batch_size = 10;
+  cfg.eval_every = 1;
+  return cfg;
+}
+
+/// True when the two runs' evaluation curves or level accuracies differ.
+bool results_differ(const RunResult& a, const RunResult& b) {
+  if (a.level_acc != b.level_acc || a.curve.size() != b.curve.size()) return true;
+  for (std::size_t i = 0; i < a.curve.size(); ++i) {
+    if (a.curve[i].full_acc != b.curve[i].full_acc ||
+        a.curve[i].avg_acc != b.curve[i].avg_acc) {
+      return true;
+    }
+  }
+  return false;
+}
+
+class PolicyWire : public ::testing::TestWithParam<Policy> {};
+
+TEST_P(PolicyWire, TrainsOnLazyDataset) {
+  // Scale-out populations generate each client's shard on demand: the one
+  // client step materializes it on the worker for every policy.
+  const ExperimentConfig cfg = wire_config(3);
+  ExperimentEnv env = pinned_env(cfg);
+  Rng task_rng(cfg.seed);
+  FederatedConfig fed;
+  fed.num_clients = cfg.num_clients;
+  fed.samples_per_client = cfg.samples_per_client;
+  fed.test_samples = cfg.test_samples;
+  env.data = make_federated_lazy(
+      std::make_shared<const SyntheticTask>(SyntheticConfig::cifar10_like(cfg.image_hw),
+                                            task_rng),
+      fed, cfg.seed);
+  ASSERT_TRUE(env.data.clients.empty());
+  const RunResult r = run_policy(GetParam(), env);
+  EXPECT_EQ(r.round_metrics.size(), 3u);
+  EXPECT_GT(r.comm.params_returned(), 0u);
+}
+
+TEST_P(PolicyWire, LosslessFp32TransportMatchesTransportlessRun) {
+  // Every policy ships real frames: on a lossless fp32 wire the client
+  // trains exactly what it would have read from the global.
+  ExperimentConfig cfg = small_config();
+  cfg.rounds = 4;
+  const ExperimentEnv env = pinned_env(cfg);
+  const RunResult plain = run_policy(GetParam(), env);
+  ExperimentEnv wired_env = env;
+  wired_env.run.net = identity_fp32();
+  const RunResult wired = run_policy(GetParam(), wired_env);
+  EXPECT_FALSE(results_differ(plain, wired));
+  EXPECT_EQ(plain.comm.params_sent(), wired.comm.params_sent());
+  EXPECT_GT(wired.comm.bytes_sent(), 0u);
+  if (GetParam() != Policy::kAdaptiveFl) {
+    // The five policies that train what they receive send back frames of
+    // the same tensors; AdaptiveFL's devices may prune before training.
+    EXPECT_EQ(wired.comm.bytes_sent(), wired.comm.bytes_returned());
+  }
+}
+
+TEST_P(PolicyWire, Int8DownlinkChangesWhatClientsTrain) {
+  // A lossy downlink codec quantizes what every client trains on.
+  const ExperimentEnv env = pinned_env(wire_config(3));
+  const RunResult plain = run_policy(GetParam(), env);
+  ExperimentEnv wired_env = env;
+  wired_env.run.net = identity_fp32();
+  wired_env.run.net->codec = net::Codec::kInt8;
+  wired_env.run.net->uplink_codec = net::Codec::kFp32;
+  const RunResult wired = run_policy(GetParam(), wired_env);
+  EXPECT_TRUE(results_differ(plain, wired));
+}
+
+std::string policy_name(const ::testing::TestParamInfo<Policy>& info) {
+  const char* names[] = {"AllLarge", "Decoupled", "HeteroFl",
+                         "ScaleFl",  "FedRolex",  "AdaptiveFl"};
+  return names[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(SixPolicies, PolicyWire,
+                         ::testing::Values(Policy::kAllLarge, Policy::kDecoupled,
+                                           Policy::kHeteroFl, Policy::kScaleFl,
+                                           Policy::kFedRolex, Policy::kAdaptiveFl),
+                         policy_name);
 
 }  // namespace
 }  // namespace afl

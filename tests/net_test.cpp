@@ -425,20 +425,6 @@ TEST(Wire, ShapeWhoseProductWrapsIsRejected) {
   }
 }
 
-TEST(Wire, EstimateCoversActualFrameSize) {
-  // The size-only estimate must be an upper bound for realistic payloads —
-  // otherwise size-only runs under-report bytes relative to real-payload
-  // runs of the same submodel.
-  for (Codec codec : {Codec::kFp32, Codec::kFp16, Codec::kInt8}) {
-    const ParamSet ps = small_params(6);
-    std::size_t params = 0;
-    for (const auto& [name, t] : ps) params += t.numel();
-    const std::vector<std::uint8_t> frame =
-        net::encode_frame({FrameKind::kDispatch, codec, 1, 1}, ps);
-    EXPECT_GE(net::estimate_frame_bytes(params, codec), frame.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Channel model
 // ---------------------------------------------------------------------------
@@ -525,26 +511,18 @@ TEST(TransportTest, LosslessRealPayloadRoundTrips) {
   Transport t(lossless_config(), /*run_seed=*/1);
   auto sess = t.session(1, 0);
   const ParamSet ps = small_params(9);
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, ps, 0);
+  const net::Delivery d = t.send(sess, FrameKind::kDispatch, ps);
   EXPECT_TRUE(d.transfer.delivered);
   EXPECT_EQ(d.transfer.attempts, 1u);
+  // The channel charges the real frame's bytes.
+  EXPECT_EQ(d.transfer.bytes,
+            net::encode_frame({FrameKind::kDispatch, Codec::kFp32, 1, 0}, ps).size());
   ASSERT_EQ(d.params.size(), ps.size());
   for (const auto& [name, tensor] : ps) {
     for (std::size_t i = 0; i < tensor.numel(); ++i) {
       EXPECT_EQ(d.params.at(name).data()[i], tensor.data()[i]);
     }
   }
-}
-
-TEST(TransportTest, SizeOnlyModeEstimatesBytes) {
-  NetConfig cfg = lossless_config();
-  cfg.codec = Codec::kFp16;
-  Transport t(cfg, 1);
-  auto sess = t.session(2, 3);
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, {}, 1000);
-  EXPECT_TRUE(d.transfer.delivered);
-  EXPECT_TRUE(d.params.empty());
-  EXPECT_EQ(d.transfer.bytes, net::estimate_frame_bytes(1000, Codec::kFp16));
 }
 
 TEST(TransportTest, DropFaultExhaustsRetries) {
@@ -554,7 +532,7 @@ TEST(TransportTest, DropFaultExhaustsRetries) {
   Transport t(cfg, 1);
   auto sess = t.session(1, 4);
   // The fault fires on the first attempt only; retries succeed.
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, {}, 100);
+  const net::Delivery d = t.send(sess, FrameKind::kDispatch, small_params(1));
   EXPECT_TRUE(d.transfer.delivered);
   EXPECT_EQ(d.transfer.attempts, 2u);
 
@@ -562,7 +540,7 @@ TEST(TransportTest, DropFaultExhaustsRetries) {
   cfg.max_retries = 0;
   Transport t2(cfg, 1);
   auto sess2 = t2.session(1, 4);
-  const net::Delivery d2 = t2.send(sess2, FrameKind::kDispatch, {}, 100);
+  const net::Delivery d2 = t2.send(sess2, FrameKind::kDispatch, small_params(1));
   EXPECT_FALSE(d2.transfer.delivered);
   EXPECT_EQ(d2.transfer.attempts, 1u);
 }
@@ -573,7 +551,7 @@ TEST(TransportTest, CorruptFaultIsCaughtByCrcAndRetried) {
   Transport t(cfg, 1);
   auto sess = t.session(2, 7);
   const ParamSet ps = small_params(10);
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, ps, 0);
+  const net::Delivery d = t.send(sess, FrameKind::kDispatch, ps);
   EXPECT_TRUE(d.transfer.delivered);
   EXPECT_EQ(d.transfer.attempts, 2u);  // first frame corrupt, second clean
   EXPECT_EQ(d.params.size(), ps.size());
@@ -585,8 +563,8 @@ TEST(TransportTest, UplinkFaultDoesNotHitDownlink) {
   cfg.faults = net::parse_fault_plan("up.drop@1:2");
   Transport t(cfg, 1);
   auto sess = t.session(1, 2);
-  EXPECT_TRUE(t.send(sess, FrameKind::kDispatch, {}, 10).transfer.delivered);
-  EXPECT_FALSE(t.send(sess, FrameKind::kReturn, {}, 10).transfer.delivered);
+  EXPECT_TRUE(t.send(sess, FrameKind::kDispatch, small_params(1)).transfer.delivered);
+  EXPECT_FALSE(t.send(sess, FrameKind::kReturn, small_params(1)).transfer.delivered);
 }
 
 TEST(TransportTest, DelayFaultAddsSimulatedSeconds) {
@@ -594,7 +572,7 @@ TEST(TransportTest, DelayFaultAddsSimulatedSeconds) {
   cfg.faults = net::parse_fault_plan("delay@1:0=0.75");
   Transport t(cfg, 1);
   auto sess = t.session(1, 0);
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, {}, 10);
+  const net::Delivery d = t.send(sess, FrameKind::kDispatch, small_params(1));
   EXPECT_TRUE(d.transfer.delivered);
   EXPECT_DOUBLE_EQ(d.transfer.seconds, 0.75);
   EXPECT_DOUBLE_EQ(sess.elapsed_seconds(), 0.75);
@@ -608,7 +586,7 @@ TEST(TransportTest, BackoffIsCappedExponential) {
   cfg.backoff_cap_s = 0.3;
   Transport t(cfg, 1);
   auto sess = t.session(1, 1);
-  const net::Delivery d = t.send(sess, FrameKind::kDispatch, {}, 10);
+  const net::Delivery d = t.send(sess, FrameKind::kDispatch, small_params(1));
   EXPECT_FALSE(d.transfer.delivered);
   EXPECT_EQ(d.transfer.attempts, 5u);
   // Backoffs between the 5 attempts: 0.1, 0.2, 0.3 (capped), 0.3 (capped).
@@ -625,8 +603,8 @@ TEST(TransportTest, LossDrawsAreReproducibleAcrossInstances) {
     for (std::size_t client = 0; client < 16; ++client) {
       auto sa = a.session(round, client);
       auto sb = b.session(round, client);
-      const net::Delivery da = a.send(sa, FrameKind::kDispatch, {}, 500);
-      const net::Delivery db = b.send(sb, FrameKind::kDispatch, {}, 500);
+      const net::Delivery da = a.send(sa, FrameKind::kDispatch, small_params(1));
+      const net::Delivery db = b.send(sb, FrameKind::kDispatch, small_params(1));
       EXPECT_EQ(da.transfer.delivered, db.transfer.delivered);
       EXPECT_EQ(da.transfer.attempts, db.transfer.attempts);
       EXPECT_DOUBLE_EQ(da.transfer.seconds, db.transfer.seconds);
@@ -645,11 +623,11 @@ TEST(TransportTest, SessionsAreIndependentPerClient) {
   // (the engine may skip clients on availability): sessions derive their own
   // streams instead of sharing one.
   auto s3a = t.session(1, 3);
-  const net::Delivery first = t.send(s3a, FrameKind::kDispatch, {}, 100);
+  const net::Delivery first = t.send(s3a, FrameKind::kDispatch, small_params(1));
   auto s2 = t.session(1, 2);
-  (void)t.send(s2, FrameKind::kDispatch, {}, 100);
+  (void)t.send(s2, FrameKind::kDispatch, small_params(1));
   auto s3b = t.session(1, 3);
-  const net::Delivery second = t.send(s3b, FrameKind::kDispatch, {}, 100);
+  const net::Delivery second = t.send(s3b, FrameKind::kDispatch, small_params(1));
   EXPECT_EQ(first.transfer.attempts, second.transfer.attempts);
   EXPECT_EQ(first.transfer.delivered, second.transfer.delivered);
 }

@@ -77,11 +77,10 @@ TEST(ScaleFl, MultiExitTrainingDecreasesLoss) {
   cfg.batch_size = 10;
   cfg.distill_weight = 1.0;
   Rng trng(2);
-  const double first =
-      local_train_multi_exit(model, env.data.clients[0], cfg, trng).mean_loss;
+  const double first = local_train(model, env.data.clients[0], cfg, trng).mean_loss;
   double last = first;
   for (int e = 0; e < 6; ++e) {
-    last = local_train_multi_exit(model, env.data.clients[0], cfg, trng).mean_loss;
+    last = local_train(model, env.data.clients[0], cfg, trng).mean_loss;
   }
   EXPECT_LT(last, first);
 }
