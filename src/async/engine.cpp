@@ -4,25 +4,19 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "async/aggregator.hpp"
 #include "async/virtual_clock.hpp"
-#include "compress/compressor.hpp"
 #include "engine/dispatch.hpp"
-#include "engine/lifecycle.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
-#include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
-#include "obs/rss.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace afl::async {
 namespace {
@@ -64,10 +58,7 @@ void read_slot(SnapshotReader& r, ClientSlot& s) {
 void write_pending(SnapshotWriter& w, const Dispatch& p, bool compress_on) {
   w.u64(p.id);
   write_slot(w, p.slot);
-  const Rng::State st = p.sess.rng_state();
-  for (int i = 0; i < 4; ++i) w.u64(st.s[i]);
-  w.u64(st.has_cached_normal ? 1 : 0);
-  w.f64(st.cached_normal);
+  engine::write_rng(w, p.sess.rng_state());
   w.u64(p.sess.round());
   w.u64(p.sess.client());
   w.f64(p.sess.elapsed_seconds());
@@ -99,10 +90,7 @@ void write_pending(SnapshotWriter& w, const Dispatch& p, bool compress_on) {
 void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
   p.id = static_cast<std::size_t>(r.u64());
   read_slot(r, p.slot);
-  Rng::State st;
-  for (int i = 0; i < 4; ++i) st.s[i] = r.u64();
-  st.has_cached_normal = r.u64() != 0;
-  st.cached_normal = r.f64();
+  const Rng::State st = engine::read_rng(r);
   const std::size_t sess_round = r.u64();
   const std::size_t sess_client = r.u64();
   const double elapsed = r.f64();
@@ -137,38 +125,17 @@ void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
 AsyncEngine::AsyncEngine(const FlRunConfig& config, AsyncConfig async,
                          const std::vector<DeviceSim>* devices,
                          const pop::Population* population)
-    : config_(config),
-      async_(async),
-      devices_(devices),
-      population_(population),
-      threads_(config.threads > 0 ? config.threads
-                                  : ThreadPool::threads_from_env()),
-      transport_(config.net ? *config.net : net::NetConfig::from_env(),
-                 config.seed) {
+    : EngineBase(config, devices, population), async_(async) {
   if (async_.buffer_size == 0) async_.buffer_size = config_.clients_per_round;
   if (async_.buffer_size == 0) async_.buffer_size = 1;
   if (async_.concurrency == 0) async_.concurrency = 2 * async_.buffer_size;
   if (devices_ != nullptr) {
     async_.concurrency = std::min(async_.concurrency, devices_->size());
   }
-  if (population_ != nullptr && population_->has_channels()) {
-    transport_.set_client_channels(population_->channels());
-  }
 }
 
 RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
-  Stopwatch watch;
-  RunResult result;
-  result.algorithm = policy.algorithm_name() + "+Async";
-
-  obs::ensure_default_http_server();
-  engine::trace_run_start(result, config_, threads_, transport_, "async",
-                          /*shards=*/0, /*sync_every=*/0, population_);
-  engine::publish_run_status(result, 0, config_.rounds, 0.0, threads_,
-                             /*active=*/true);
-
-  ThreadPool pool(threads_);
-  obs::metrics().gauge("afl.engine.pool.threads").set(static_cast<double>(pool.size()));
+  engine::RunCore core(*this, policy, engine::RunMode::kAsync);
   static obs::Histogram& occupancy_hist =
       obs::metrics().histogram("afl.async.buffer.occupancy");
   static obs::Histogram& staleness_hist =
@@ -177,9 +144,6 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
   obs::Counter& flush_counter = obs::metrics().counter("afl.async.flushes");
   obs::Counter& dispatch_counter = obs::metrics().counter("afl.async.dispatches");
   obs::Counter& stale_counter = obs::metrics().counter("afl.async.stale.discards");
-
-  Rng rng(config_.seed);
-  policy.init_global(rng);
   policy.begin_async(devices_ != nullptr ? devices_->size() : 0);
 
   VirtualClock clock;
@@ -188,38 +152,51 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
                       async_.max_staleness);
   std::map<std::size_t, Dispatch> pending;  // in flight, by dispatch id
   std::size_t next_dispatch = 1;
-  std::size_t flushes = 0;
-  double last_flush_time = 0.0;
-
-  // Dispatch-lifecycle tracing (afl.trace.v2): the event engine always
-  // models time, so the tracker is unconditionally active.
-  engine::LifecycleTracker lifecycle(true);
-
-  // Sparsifying uplink + error feedback (src/compress/, docs/COMPRESSION.md).
-  compress::Compressor compressor(transport_,
-                                  compress::CompressConfig::from_env());
+  std::size_t stuck_ends = 0;  // the stop rule's count (below)
 
   // Snapshot/resume (docs/POPULATION.md). Async snapshots are cut at flush
   // boundaries: the buffer is empty, but in-flight dispatches (and their
-  // pending events) are captured verbatim so the resumed event sequence —
-  // and therefore the RunResult — is bit-identical to the uninterrupted run.
-  const engine::SnapshotPlan snap = engine::SnapshotPlan::resolve(config_);
-  if (snap.resume_enabled()) {
-    SnapshotReader reader(snap.resume_from);
-    flushes = engine::read_header(reader, engine::kAsyncSnapshotFormat, config_,
-                                  result.algorithm);
-    engine::read_result(reader, result);
-    engine::read_rng(reader, rng);
-    clock.restore(reader.f64());
-    last_flush_time = reader.f64();
-    next_dispatch = reader.u64();
-    agg.restore(reader.u64());
-    if (compressor.enabled()) compressor.restore(reader);
-    policy.restore_state(reader);
+  // pending events) are captured verbatim in the tail section so the resumed
+  // event sequence — and therefore the RunResult — is bit-identical to the
+  // uninterrupted run. core.sim_time is the last flush time.
+  core.head.write = [&](SnapshotWriter& w) {
+    w.f64(clock.now());
+    w.f64(core.sim_time);
+    w.u64(next_dispatch);
+    w.u64(agg.version());
+  };
+  core.head.read = [&](SnapshotReader& r) {
+    clock.restore(r.f64());
+    core.sim_time = r.f64();
+    next_dispatch = r.u64();
+    agg.restore(r.u64());
+  };
+  core.tail.write = [&](SnapshotWriter& w) {
+    w.u64(pending.size());
+    for (const auto& [id, p] : pending) {  // std::map: dispatch order
+      write_pending(w, p, core.compressor.enabled());
+    }
+    // Events serialize in pop order (the comparator's total order), so two
+    // snapshots of the same logical state are byte-identical regardless of
+    // the live heap layout.
+    std::vector<Event> events = queue.events();
+    std::sort(events.begin(), events.end(),
+              [](const Event& a, const Event& b) { return event_after(b, a); });
+    w.u64(events.size());
+    for (const Event& e : events) {
+      w.f64(e.time);
+      w.u64(e.dispatch);
+      w.u64(e.client);
+      w.u64(e.seq);
+      w.u64(static_cast<std::uint64_t>(e.kind));
+    }
+    w.u64(queue.next_seq());
+  };
+  core.tail.read = [&](SnapshotReader& reader) {
     const std::uint64_t n_pending = reader.u64();
     for (std::uint64_t i = 0; i < n_pending; ++i) {
       Dispatch p;
-      read_pending(reader, p, compressor.enabled());
+      read_pending(reader, p, core.compressor.enabled());
       if (devices_ != nullptr && p.slot.client >= devices_->size()) {
         throw std::runtime_error("snapshot: in-flight dispatch to a client outside the fleet");
       }
@@ -227,8 +204,8 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       // lifecycle record (earlier phases were flushed with the old process;
       // blame attribution restarts, bit-identity of the result does not).
       policy.set_client_busy(p.slot.client, true);
-      lifecycle.begin(p.id, p.id, p.slot.client, p.base, /*shard=*/-1,
-                      static_cast<long long>(p.version));
+      core.lifecycle.begin(p.id, p.id, p.slot.client, p.base, /*shard=*/-1,
+                           static_cast<long long>(p.version));
       pending.emplace(p.id, std::move(p));
     }
     const std::uint64_t n_events = reader.u64();
@@ -257,18 +234,10 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       e.kind = static_cast<EventKind>(kind);
     }
     queue.restore(std::move(events), reader.u64());
-    reader.expect_end();
-  }
-
-  std::optional<RoundTelemetry> telemetry(std::in_place, result, flushes + 1);
-  telemetry->set_net_enabled(transport_.enabled());
-  if (population_ != nullptr) {
-    // One churn record per flush window — the async analogue of a round.
-    engine::trace_churn(flushes + 1, population_->round_churn(flushes + 1));
-  }
-
-  engine::Dispatcher dispatcher{"AsyncEngine", policy, devices_, transport_,
-                                compressor, lifecycle, result};
+  };
+  std::size_t flushes = core.resume();
+  // One window (and churn record) per flush — the async analogue of a round.
+  core.open_window(flushes + 1);
 
   // Keeps `concurrency` dispatches in flight, drawing every RNG value on the
   // engine thread in event order. The dispatch id doubles as the slot's
@@ -279,14 +248,14 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     while (pending.size() < async_.concurrency) {
       Dispatch d;
       d.slot.round = next_dispatch;
-      if (!dispatcher.draw(d.slot, rng)) break;  // every free client is in flight
+      if (!core.dispatcher.draw(d.slot, core.rng)) break;  // every free client is in flight
       policy.adapt(d.slot);
       dispatch_counter.inc();
       d.id = next_dispatch;
       d.version = agg.version();
       d.base = clock.now();
       d.reuploads_left = async_.max_reuploads;
-      const engine::Admission admission = dispatcher.admit(d, rng, flushes + 1);
+      const engine::Admission admission = core.dispatcher.admit(d, core.rng, flushes + 1);
       d.accepted = !admission.failure;
       if (d.accepted) {
         queue.push({admission.at, d.id, d.slot.client, 0, EventKind::kUpload});
@@ -307,100 +276,47 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     for (auto& [id, p] : pending) {
       if (p.accepted && !p.trained) wave.push_back(&p);
     }
-    if (wave.empty()) return;
-    AFL_PROF_SPAN("async.train_wave");
-    pool.parallel_for(wave.size(), [&](std::size_t i) {
-      AFL_PROF_SPAN("async.client_train");
-      Dispatch& p = *wave[i];
-      Rng crng = Rng::derive(config_.seed, p.slot.round, p.slot.client);
-      p.outcome = policy.execute(p.slot, crng);
-      p.trained = true;
-    });
+    if (!wave.empty()) core.train(wave, "async.train_wave", "async.client_train");
   };
 
-  // One buffer flush: aggregate, bump the global version, cut a telemetry
-  // window, evaluate when due.
+  // One buffer flush: aggregate, bump the global version, close the window
+  // (evaluating when due) and open the next one.
   auto do_flush = [&]() {
     AFL_PROF_SPAN("async.flush");
     ++flushes;
+    stuck_ends = 0;
     {
       AFL_PROF_SPAN("async.aggregate");
       Stopwatch agg_watch;
       policy.aggregate(flushes);
-      telemetry->add_aggregate_seconds(agg_watch.seconds());
+      core.telemetry->add_aggregate_seconds(agg_watch.seconds());
     }
     const std::size_t new_version = agg.commit_flush();
     version_gauge.set(static_cast<double>(new_version));
     flush_counter.inc();
     // The buffer flush is the commit instant of every buffered update:
     // buffer_wait runs from each arrival to here.
-    lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
-                            static_cast<long long>(new_version));
-    obs::sample_rss();  // same memory gauges as the round engine's syncs
-    policy.end_round(flushes, *telemetry);
-    telemetry->set_sim_time(clock.now() - last_flush_time, clock.now());
-    last_flush_time = clock.now();
-    if (config_.eval_every != 0 &&
-        (flushes % config_.eval_every == 0 || flushes == config_.rounds)) {
-      AFL_PROF_SPAN("async.evaluate");
-      engine::evaluate_global(policy, flushes, result, pool, &*telemetry,
-                              clock.now());
-    }
-    telemetry.reset();  // flush this window's metrics record
-    engine::publish_run_status(result, flushes, config_.rounds, watch.seconds(),
-                               threads_, /*active=*/flushes < config_.rounds,
-                               &lifecycle.blame());
-    if (snap.due(flushes)) {
-      SnapshotWriter w(snap.snapshot_path);
-      engine::write_header(w, engine::kAsyncSnapshotFormat, config_,
-                           result.algorithm, flushes);
-      engine::write_result(w, result);
-      engine::write_rng(w, rng);
-      w.f64(clock.now());
-      w.f64(last_flush_time);
-      w.u64(next_dispatch);
-      w.u64(agg.version());
-      if (compressor.enabled()) compressor.snapshot(w);
-      policy.snapshot_state(w);
-      w.u64(pending.size());
-      for (const auto& [id, p] : pending) {  // std::map: dispatch order
-        write_pending(w, p, compressor.enabled());
-      }
-      // Events serialize in pop order (the comparator's total order), so two
-      // snapshots of the same logical state are byte-identical regardless of
-      // the live heap layout.
-      std::vector<Event> events = queue.events();
-      std::sort(events.begin(), events.end(),
-                [](const Event& a, const Event& b) { return event_after(b, a); });
-      w.u64(events.size());
-      for (const Event& e : events) {
-        w.f64(e.time);
-        w.u64(e.dispatch);
-        w.u64(e.client);
-        w.u64(e.seq);
-        w.u64(static_cast<std::uint64_t>(e.kind));
-      }
-      w.u64(queue.next_seq());
-      w.finish();
-    }
-    if (flushes < config_.rounds && !snap.stop_after(flushes)) {
-      telemetry.emplace(result, flushes + 1);
-      telemetry->set_net_enabled(transport_.enabled());
-      if (population_ != nullptr) {
-        engine::trace_churn(flushes + 1, population_->round_churn(flushes + 1));
-      }
+    core.lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
+                                 static_cast<long long>(new_version));
+    if (!core.close_window(flushes, /*sync=*/true, clock.now() - core.sim_time,
+                           clock.now()) &&
+        flushes < config_.rounds) {
+      core.open_window(flushes + 1);
     }
   };
 
+  // Whether the open window can gain no update: nothing accepted is in
+  // flight and no device can answer in it, so every admission fails.
+  auto stuck = [&]() {
+    return devices_ != nullptr &&
+           std::none_of(pending.begin(), pending.end(),
+                        [](const auto& kv) { return kv.second.accepted; }) &&
+           std::none_of(devices_->begin(), devices_->end(),
+                        [&](const DeviceSim& d) { return d.can_respond(flushes + 1); });
+  };
+
   while (flushes < config_.rounds) {
-    if (snap.stop_after(flushes)) {
-      // Killed-at-flush-k semantics: hand back the partial result; a later
-      // run resumes from the snapshot and reproduces the full run exactly.
-      telemetry.reset();
-      engine::finish_run(result, watch, last_flush_time, flushes,
-                         config_.rounds, threads_, lifecycle, transport_);
-      return result;
-    }
+    if (core.snap.stop_after(flushes)) return core.finish(flushes);  // killed at flush k
     top_up();
     if (queue.empty()) {
       // Nothing in flight and nothing dispatchable. Flush what the buffer
@@ -420,10 +336,10 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       if (!p.trained) train_wave();
       double arrive_at = e.time;
       if (transport_.enabled()) {
-        const engine::Uplink up = dispatcher.send_update(p, async_.reupload_backoff_s);
+        const engine::Uplink up = core.dispatcher.send_update(p, async_.reupload_backoff_s);
         const double up_end = e.time + (p.sess.elapsed_seconds() - up.start_elapsed);
-        lifecycle.phase(e.dispatch, engine::kPhaseUplink, e.time, up_end, up.attempts,
-                        up.backoff_seconds, up.bytes);
+        core.lifecycle.phase(e.dispatch, engine::kPhaseUplink, e.time, up_end, up.attempts,
+                             up.backoff_seconds, up.bytes);
         if (!up.delivered) {
           p.fail = DispatchFailure::kLostUplink;
           queue.push({up_end + async_.failure_timeout_s, e.dispatch, e.client, 0,
@@ -439,48 +355,33 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     Dispatch p = std::move(it->second);
     pending.erase(it);
     policy.set_client_busy(p.slot.client, false);
-    if (e.kind == EventKind::kFailure) {
-      dispatcher.fail(p, p.fail, *telemetry, clock.now(), clock.now());
+    const bool stale = e.kind == EventKind::kArrival && agg.too_stale(p.version);
+    if (e.kind == EventKind::kFailure || stale) {
+      if (stale) stale_counter.inc();
+      core.dispatcher.fail(p, stale ? DispatchFailure::kStale : p.fail, clock.now(),
+                           clock.now());
+      // Stop rule (docs/ASYNC.md): a window that can gain no update closes
+      // with what it holds once `concurrency` more dispatches have ended, so
+      // a fleet that cannot answer does not stall the run.
+      if (stuck() && ++stuck_ends == async_.concurrency) do_flush();
       continue;
     }
-    if (agg.too_stale(p.version)) {
-      stale_counter.inc();
-      dispatcher.fail(p, DispatchFailure::kStale, *telemetry, clock.now(), clock.now());
-      continue;
-    }
-    lifecycle.arrived(e.dispatch, clock.now());
     const std::size_t tau = agg.staleness(p.version);
     const double scale = agg.weight_scale(p.version);
-    result.comm.record_return(p.slot.params_back);
-    telemetry->add_train_seconds(p.outcome.stats.seconds);
-    telemetry->client_ok();
     staleness_hist.record(static_cast<double>(tau));
-    if (obs::trace_enabled()) {
-      obs::TraceEvent ev("dispatch");
-      engine::dispatch_fields(ev, p, "ok");
-      ev.field("back", static_cast<std::uint64_t>(p.slot.back_index))
-          .field("params_back", static_cast<std::uint64_t>(p.slot.params_back))
-          .field("virtual_time", clock.now())
+    core.dispatcher.arrive(p, clock.now(), [&](obs::TraceEvent& ev) {
+      ev.field("virtual_time", clock.now())
           .field("staleness", static_cast<std::uint64_t>(tau))
           .field("weight_scale", scale)
           .field("train_ms", p.outcome.stats.seconds * 1e3)
           .field("dur_ms", (clock.now() - p.base) * 1e3);
-      ev.emit();
-    }
-    dispatcher.decode_update(p);
+    });
     policy.commit_weighted(p.slot, std::move(p.outcome), scale);
     agg.note_buffered();
     occupancy_hist.record(static_cast<double>(agg.buffered()));
     if (agg.full()) do_flush();
   }
-
-  telemetry.reset();
-  if (result.curve.empty()) {
-    engine::evaluate_global(policy, config_.rounds, result, pool);
-  }
-  engine::finish_run(result, watch, last_flush_time, config_.rounds,
-                     config_.rounds, threads_, lifecycle, transport_);
-  return result;
+  return core.end();
 }
 
 }  // namespace afl::async

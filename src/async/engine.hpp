@@ -27,37 +27,27 @@
 #include "async/config.hpp"
 #include "engine/round_engine.hpp"
 #include "engine/run.hpp"
-#include "net/transport.hpp"
 #include "pop/population.hpp"
 #include "sim/device.hpp"
 
 namespace afl::async {
 
-class AsyncEngine {
+class AsyncEngine : public engine::EngineBase {
  public:
   /// `async.enabled` is assumed; zero-valued knobs resolve against the run
   /// config (buffer_size -> clients_per_round, concurrency -> 2 * buffer,
-  /// capped at the fleet size). `devices` as in RoundEngine. `population`
-  /// (optional, not owned) supplies churn telemetry and per-client channel
-  /// profiles (docs/POPULATION.md); churn presence itself reaches the engine
-  /// through the devices' presence pointers, keyed by the flush window.
+  /// capped at the fleet size). `devices` and `population` as in
+  /// engine::EngineBase; churn presence is keyed by the flush window.
   AsyncEngine(const FlRunConfig& config, AsyncConfig async,
               const std::vector<DeviceSim>* devices,
               const pop::Population* population = nullptr);
 
   RunResult run(AsyncRoundPolicy& policy);
 
-  std::size_t threads() const { return threads_; }
-  const net::Transport& transport() const { return transport_; }
   const AsyncConfig& async_config() const { return async_; }
 
  private:
-  FlRunConfig config_;
   AsyncConfig async_;
-  const std::vector<DeviceSim>* devices_;
-  const pop::Population* population_;
-  std::size_t threads_;
-  net::Transport transport_;
 };
 
 }  // namespace afl::async

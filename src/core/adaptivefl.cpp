@@ -112,15 +112,18 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    // The dispatched pool model; the device prunes it in local_view().
-    return pool_.split(global_, s.sent_index);
+    // The dispatched pool model, split from the slot's source (the global,
+    // or its shard's model between divergent syncs); the device prunes it
+    // in local_view().
+    return pool_.split(s.source ? *s.source : global_, s.sent_index);
   }
 
   ParamSet local_view(const ClientSlot& s) const override {
     // s.rx is the codec-decoded downlink payload (sized sent_index); the
     // device prunes it to what it can train. Identity path: split the frozen
-    // global directly.
-    return pool_.split(s.rx ? *s.rx : global_, s.back_index);
+    // source directly.
+    const ParamSet* from = s.rx ? s.rx : s.source;
+    return pool_.split(from ? *from : global_, s.back_index);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
@@ -142,12 +145,6 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   const ParamSet& hier_global() const override { return global_; }
 
   void hier_set_global(ParamSet global) override { global_ = std::move(global); }
-
-  ParamSet hier_dispatch_params(const ClientSlot& s,
-                                const ParamSet& model) const override {
-    // Same wire contract as dispatch_params(), split from the shard's model.
-    return pool_.split(model, s.sent_index);
-  }
 
   void aggregate(std::size_t) override {
     // Step 6 (Model Aggregation, Algorithm 2). Cleared here (not only in

@@ -104,8 +104,8 @@ Admission Dispatcher::admit(Dispatch& d, Rng& rng, std::size_t presence_round) {
     d.sess = transport.session(s.round, s.client);
     d.sess.set_lifecycle_tags(lifecycle.active() ? static_cast<long long>(d.id) : -1,
                               d.shard, version);
-    net::Delivery down = transport.send(d.sess, net::FrameKind::kDispatch,
-                                        payload ? payload(s) : policy.dispatch_params(s));
+    net::Delivery down =
+        transport.send(d.sess, net::FrameKind::kDispatch, policy.dispatch_params(s));
     record_transfer(result.comm, down.transfer, /*uplink=*/false);
     const double down_end = d.base + d.sess.elapsed_seconds();
     lifecycle.phase(d.id, kPhaseDownlink, d.base, down_end, down.transfer.attempts,
@@ -161,14 +161,26 @@ Uplink Dispatcher::send_update(Dispatch& d, double reupload_backoff_s) {
   return up;
 }
 
-void Dispatcher::decode_update(Dispatch& d) {
-  if (!d.upref) return;
-  compressor.decode_update(d.outcome.params, *d.upref);
-  d.upref.reset();
+void Dispatcher::arrive(Dispatch& d, double t,
+                        const std::function<void(obs::TraceEvent&)>& fields) {
+  lifecycle.arrived(d.id, t);
+  if (d.upref) {
+    compressor.decode_update(d.outcome.params, *d.upref);
+    d.upref.reset();
+  }
+  result.comm.record_return(d.slot.params_back);
+  telemetry->add_train_seconds(d.outcome.stats.seconds);
+  telemetry->client_ok();
+  if (!obs::trace_enabled()) return;
+  obs::TraceEvent ev("dispatch");
+  dispatch_fields(ev, d, "ok");
+  ev.field("back", static_cast<std::uint64_t>(d.slot.back_index))
+      .field("params_back", static_cast<std::uint64_t>(d.slot.params_back));
+  fields(ev);
+  ev.emit();
 }
 
-void Dispatcher::fail(Dispatch& d, DispatchFailure kind, RoundTelemetry& telemetry,
-                      double t_end, double virtual_time) {
+void Dispatcher::fail(Dispatch& d, DispatchFailure kind, double t_end, double virtual_time) {
   using F = DispatchFailure;
   ++result.failed_trainings;
   if (kind == F::kLostDownlink || kind == F::kLostUplink) {
@@ -178,7 +190,7 @@ void Dispatcher::fail(Dispatch& d, DispatchFailure kind, RoundTelemetry& telemet
     result.comm.record_straggler();
     obs::metrics().counter("afl.net.stragglers").inc();
   }
-  telemetry.client_failed();
+  telemetry->client_failed();
   if (obs::trace_enabled()) {
     obs::TraceEvent ev("dispatch");
     dispatch_fields(ev, d, outcome_name(kind));

@@ -1,10 +1,11 @@
 #pragma once
 // One dispatch path for the round engine and the async engine (docs/ENGINE.md,
 // "One dispatch path"): draw a client, admit the dispatch, ship the trained
-// update, or book why the dispatch ended without one. Each engine keeps only
-// what differs: when each step runs, and which clock it reads (a shard clock
-// or the event clock), handed in as each dispatch's time base. Nothing here
-// opens a profiler span, so each engine's span tree stays its own.
+// update, and book the update or why the dispatch ended without one. Each
+// engine keeps only what differs: when each step runs, and which clock it
+// reads (a shard clock or the event clock), handed in as each dispatch's time
+// base. Nothing here opens a profiler span, so each engine's span tree stays
+// its own.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,6 +60,8 @@ struct Dispatch {
   TrainOutcome outcome;
   std::size_t down_bytes = 0;      // on-wire bytes of the delivered downlink
   std::size_t reuploads_left = 0;  // re-sends allowed after a lost uplink
+  double queue_s = 0.0;            // training wave: wait for a worker
+  double exec_s = 0.0;             // training wave: execute() wall time
   bool accepted = false;           // async engine state from here on
   bool trained = false;
   DispatchFailure fail = DispatchFailure::kNoResponse;
@@ -90,8 +93,7 @@ struct Dispatcher {
   compress::Compressor& compressor;
   LifecycleTracker& lifecycle;
   RunResult& result;
-  /// Downlink payload override; null ships policy.dispatch_params().
-  std::function<ParamSet(const ClientSlot&)> payload = nullptr;
+  std::optional<RoundTelemetry>& telemetry;  // the open window's
 
   /// policy.select(), then the capacity draw (SIZE_MAX without a fleet).
   /// False when the policy ends selection; throws std::logic_error for a
@@ -110,16 +112,17 @@ struct Dispatcher {
   /// returns to the client's residual.
   Uplink send_update(Dispatch& d, double reupload_backoff_s);
 
-  /// Adds the reference back onto a delivered masked delta (sparse uplink;
-  /// a no-op otherwise) and releases it.
-  void decode_update(Dispatch& d);
+  /// Books the update of `d`, arrived at `t`: lifecycle arrival, the sparse
+  /// decode (the reference added back onto a masked delta), record_return,
+  /// telemetry and the `dispatch` ok record, where `fields` adds the
+  /// engine's own fields after params_back.
+  void arrive(Dispatch& d, double t, const std::function<void(obs::TraceEvent&)>& fields);
 
   /// Books a dispatch that ended without an update: failed_trainings, the
   /// drop or straggler counter, telemetry, the `dispatch` record (with
   /// `virtual_time` when >= 0), the lifecycle drop at `t_end`, the kind's
   /// policy hook, and error feedback for a discarded delivered update.
-  void fail(Dispatch& d, DispatchFailure kind, RoundTelemetry& telemetry,
-            double t_end, double virtual_time);
+  void fail(Dispatch& d, DispatchFailure kind, double t_end, double virtual_time);
 };
 
 /// Adds the fields every `dispatch` record starts with: round, client, sent,

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "async/virtual_clock.hpp"
-#include "compress/compressor.hpp"
 #include "engine/dispatch.hpp"
-#include "engine/lifecycle.hpp"
-#include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
 #include "fl/shard_aggregator.hpp"
-#include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
-#include "obs/rss.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -26,7 +20,6 @@
 namespace afl {
 
 using engine::DispatchFailure;
-using engine::publish_run_status;
 
 namespace {
 
@@ -94,24 +87,28 @@ TrainOutcome train_client(Model model, ParamSet view, const FederatedDataset& da
   return out;
 }
 
-RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-                         const pop::Population* population,
-                         const hier::HierConfig& hier)
+engine::EngineBase::EngineBase(const FlRunConfig& config,
+                               const std::vector<DeviceSim>* devices,
+                               const pop::Population* population)
     : config_(config),
       devices_(devices),
       population_(population),
-      sharded_(hier.enabled),
-      // A disabled config still carries the default shard count: flat is
-      // one shard, merged every round.
-      shards_(hier.enabled ? std::max<std::size_t>(hier.shards, 1) : 1),
-      sync_every_(hier.enabled ? std::max<std::size_t>(hier.sync_every, 1) : 1),
       threads_(config.threads > 0 ? config.threads : ThreadPool::threads_from_env()),
-      transport_(config.net ? *config.net : net::NetConfig::from_env(),
-                 config.seed) {
+      transport_(config.net ? *config.net : net::NetConfig::from_env(), config.seed) {
   if (population_ != nullptr && population_->has_channels()) {
     transport_.set_client_channels(population_->channels());
   }
 }
+
+RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
+                         const pop::Population* population,
+                         const hier::HierConfig& hier)
+    : EngineBase(config, devices, population),
+      sharded_(hier.enabled),
+      // A disabled config still carries the default shard count: flat is
+      // one shard, merged every round.
+      shards_(hier.enabled ? std::max<std::size_t>(hier.shards, 1) : 1),
+      sync_every_(hier.enabled ? std::max<std::size_t>(hier.sync_every, 1) : 1) {}
 
 RunResult RoundEngine::run(RoundPolicy& policy) {
   HierRoundPolicy* hier_policy = nullptr;
@@ -125,19 +122,10 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
     }
   }
   const bool divergent = sync_every_ > 1;
+  engine::RunCore core(*this, policy,
+                       sharded_ ? engine::RunMode::kHier : engine::RunMode::kFlat,
+                       shards_, sync_every_);
 
-  Stopwatch watch;
-  RunResult result;
-  result.algorithm = policy.algorithm_name();
-
-  obs::ensure_default_http_server();
-  engine::trace_run_start(result, config_, threads_, transport_,
-                          sharded_ ? "hier" : nullptr, sharded_ ? shards_ : 0,
-                          sharded_ ? sync_every_ : 0, population_);
-  publish_run_status(result, 0, config_.rounds, 0.0, threads_, /*active=*/true);
-
-  ThreadPool pool(threads_);
-  obs::metrics().gauge("afl.engine.pool.threads").set(static_cast<double>(pool.size()));
   static obs::Histogram& queue_hist =
       obs::metrics().histogram("afl.engine.client.queue.seconds");
   static obs::Histogram& train_hist =
@@ -155,14 +143,46 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
     syncs_counter = &obs::metrics().counter("afl.hier.syncs");
   }
 
-  Rng rng(config_.seed);
-  policy.init_global(rng);
-
   const auto shard_of = [this](std::size_t client) { return client % shards_; };
 
+  // Simulated time: with a transport configured each shard's round takes as
+  // long as its slowest client's session (capped by the round deadline — the
+  // server stops waiting there) on the shard's own clock. A root sync is a
+  // barrier aligning every clock at the maximum, which is the run clock.
+  // Lifecycle records take each dispatch's timebase from its shard's clock,
+  // so phases from diverging shards land on one run-global timeline.
+  std::vector<async::VirtualClock> clocks(shards_);
+
+  // Snapshot/resume (docs/POPULATION.md): the engine's section is the run
+  // clock, the lifecycle id counter and, sharded, the shard clocks, so round
+  // k+1 starts bit-identically to the uninterrupted run. Snapshots are cut
+  // only at root-sync boundaries (every round of a flat run): edge windows
+  // are empty there and every divergent edge model equals the synced global.
+  core.head.write = [&](SnapshotWriter& w) {
+    w.f64(core.sim_time);
+    w.u64(core.lifecycle.last_id());
+    if (!sharded_) return;
+    w.u64(clocks.size());
+    for (const async::VirtualClock& clock : clocks) w.f64(clock.now());
+  };
+  core.head.read = [&](SnapshotReader& r) {
+    core.sim_time = r.f64();
+    core.lifecycle.set_last_id(r.u64());
+    if (!sharded_) return clocks[0].restore(core.sim_time);
+    const std::uint64_t n_edges = r.u64();
+    if (n_edges != shards_) {
+      throw std::runtime_error(
+          "snapshot: shard count mismatch (file has " + std::to_string(n_edges) +
+          " edges, run has " + std::to_string(shards_) + ")");
+    }
+    for (async::VirtualClock& clock : clocks) clock.restore(r.f64());
+  };
+  const std::size_t start_round = core.resume() + 1;
+
   // Edges fold the updates of a sharded run; a flat run commits to the
-  // policy instead. Elements no shard covered during a divergent sync window
-  // fall through to the global of the last root merge.
+  // policy instead. Built from the (possibly resumed) global. Elements no
+  // shard covered during a divergent sync window fall through to the global
+  // of the last root merge.
   std::vector<EdgeAggregator> edges;
   ParamSet synced_global;
   if (sharded_) {
@@ -172,83 +192,10 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
     }
     if (divergent) synced_global = hier_policy->hier_global();
   }
-  // Simulated time: with a transport configured each shard's round takes as
-  // long as its slowest client's session (capped by the round deadline — the
-  // server stops waiting there) on the shard's own clock. A root sync is a
-  // barrier aligning every clock at the maximum, which is the run clock.
-  std::vector<async::VirtualClock> clocks(shards_);
-  double sim_total = 0.0;
-
-  // Dispatch-lifecycle tracing (afl.trace.v2): active only when the run
-  // models time, so transportless traces stay byte-identical to v1 builds.
-  // Each dispatch's timebase is its shard's clock, so phases from diverging
-  // shards land on one run-global timeline.
-  engine::LifecycleTracker lifecycle(transport_.enabled());
-
-  // Sparsifying uplink + error feedback (src/compress/, docs/COMPRESSION.md).
-  // Disabled unless the transport's uplink codec is top-k; disabled it is a
-  // pure no-op and runs stay byte-identical. Residual rows are per-client and
-  // clients map to exactly one shard, so the shard-major commit order below
-  // cannot perturb the store's final state.
-  compress::Compressor compressor(transport_, compress::CompressConfig::from_env());
-
-  engine::Dispatcher dispatcher{"RoundEngine", policy, devices_, transport_,
-                                compressor, lifecycle, result};
-  if (divergent && transport_.enabled()) {
-    // Divergent runs ship the owning shard's local model, not the root global.
-    dispatcher.payload = [&](const ClientSlot& s) {
-      return hier_policy->hier_dispatch_params(s, edges[shard_of(s.client)].model());
-    };
-  }
-
-  // Snapshot/resume (docs/POPULATION.md). Resume restores the partial
-  // result, round RNG, simulated clocks, lifecycle id counter, and policy
-  // state over the freshly built structure from init_global(), so round
-  // k+1 starts bit-identically to the uninterrupted run. Snapshots are cut
-  // only at root-sync boundaries (every round of a flat run): edge windows
-  // are empty there and every divergent edge model equals the synced global.
-  const engine::SnapshotPlan snap = engine::SnapshotPlan::resolve(config_);
-  const char* snap_format =
-      sharded_ ? engine::kHierSnapshotFormat : engine::kSyncSnapshotFormat;
-  std::size_t start_round = 1;
-  if (snap.resume_enabled()) {
-    SnapshotReader reader(snap.resume_from);
-    const std::size_t at =
-        engine::read_header(reader, snap_format, config_, result.algorithm);
-    engine::read_result(reader, result);
-    engine::read_rng(reader, rng);
-    sim_total = reader.f64();
-    lifecycle.set_last_id(reader.u64());
-    if (sharded_) {
-      const std::uint64_t n_edges = reader.u64();
-      if (n_edges != shards_) {
-        throw std::runtime_error(
-            "snapshot: shard count mismatch (file has " + std::to_string(n_edges) +
-            " edges, run has " + std::to_string(shards_) + ")");
-      }
-      for (async::VirtualClock& clock : clocks) clock.restore(reader.f64());
-    } else {
-      clocks[0].restore(sim_total);
-    }
-    if (compressor.enabled()) compressor.restore(reader);
-    policy.restore_state(reader);
-    reader.expect_end();
-    if (divergent) {
-      synced_global = hier_policy->hier_global();
-      for (EdgeAggregator& edge : edges) edge.set_model(synced_global);
-    }
-    start_round = at + 1;
-  }
 
   for (std::size_t round = start_round; round <= config_.rounds; ++round) {
-    // Held in an optional so it can be flushed (destroyed) before the status
-    // publish — the telemetry destructor appends this round's metrics record.
-    std::optional<RoundTelemetry> telemetry(std::in_place, result, round);
-    telemetry->set_net_enabled(transport_.enabled());
-    if (population_ != nullptr) {
-      engine::trace_churn(round, population_->round_churn(round));
-    }
-    policy.begin_round(round, rng);
+    core.open_window(round);
+    policy.begin_round(round, core.rng);
 
     // Phase 1 (sequential planning): draw / adapt / admit in slot order
     // (engine/dispatch.hpp), booking failures at once. The round RNG is drawn
@@ -267,7 +214,7 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       d.slot.slot = slot;
       {
         AFL_PROF_SPAN("engine.select");
-        if (!dispatcher.draw(d.slot, rng)) break;  // no client available this round
+        if (!core.dispatcher.draw(d.slot, core.rng)) break;  // no client available this round
       }
       {
         AFL_PROF_SPAN("engine.adapt");
@@ -275,12 +222,14 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       }
       const std::size_t shard = shard_of(d.slot.client);
       d.shard = sharded_ ? static_cast<int>(shard) : -1;
+      // A divergent run ships, and trains on, the owning shard's model.
+      if (divergent) d.slot.source = &edges[shard].model();
       // Ids are drawn only while tracing lifecycles: the counter is snapshot
       // state, so time-less runs keep it at 0.
-      d.id = lifecycle.active() ? lifecycle.next_id() : 0;
+      d.id = core.lifecycle.active() ? core.lifecycle.next_id() : 0;
       d.version = round - 1;
       d.base = clocks[shard].now();
-      const engine::Admission admission = dispatcher.admit(d, rng, round);
+      const engine::Admission admission = core.dispatcher.admit(d, core.rng, round);
       if (!admission.failure) {
         work.push_back(std::move(d));
         continue;
@@ -288,40 +237,21 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       if (*admission.failure == DispatchFailure::kLostDownlink) {
         lost_downlink[shard] = std::max(lost_downlink[shard], d.sess.elapsed_seconds());
       }
-      dispatcher.fail(d, *admission.failure, *telemetry, admission.at,
-                      /*virtual_time=*/-1.0);
-    }
-    // Divergent identity path: train on the owning shard's model by pointing
-    // slot.rx at it (execute() splits rx down to back_index).
-    if (divergent && !transport_.enabled()) {
-      for (engine::Dispatch& d : work) d.slot.rx = &edges[shard_of(d.slot.client)].model();
+      core.dispatcher.fail(d, *admission.failure, admission.at, /*virtual_time=*/-1.0);
     }
 
     // Phase 2 (parallel execution): per-slot work runs on the pool with a
     // RNG derived WITHOUT the shard word, so neither the thread count nor the
     // shard count can perturb training randomness.
-    std::vector<double> queue_seconds(work.size(), 0.0);
-    std::vector<double> exec_seconds(work.size(), 0.0);
-    Stopwatch exec_watch;
-    {
-      AFL_PROF_SPAN("engine.train");
-      pool.parallel_for(work.size(), [&](std::size_t i) {
-        // Worker-thread span: lands on the pool thread's own span stack, so
-        // kernel spans nested under it attribute correctly per thread.
-        AFL_PROF_SPAN("engine.client_train");
-        queue_seconds[i] = exec_watch.seconds();
-        Stopwatch item_watch;
-        engine::Dispatch& d = work[i];
-        Rng crng = Rng::derive(config_.seed, d.slot.round, d.slot.client);
-        d.outcome = policy.execute(d.slot, crng);
-        exec_seconds[i] = item_watch.seconds();
-      });
-    }
-    const double exec_wall = exec_watch.seconds();
+    std::vector<engine::Dispatch*> wave;
+    for (engine::Dispatch& d : work) wave.push_back(&d);
+    const double exec_wall = core.train(wave, "engine.train", "engine.client_train");
 
     // Phase 3 (sequential commit): shard-major, slot order within each shard
     // (plain slot order in a flat run): uploads, comm accounting, telemetry,
     // traces, then the update goes to its edge or to policy.commit().
+    // Residual rows are per-client and clients map to exactly one shard, so
+    // the shard-major order cannot perturb the compressor's final state.
     const double deadline = transport_.config().round_deadline_s;
     double round_elapsed_max = 0.0;  // slowest client across all shards
     for (std::size_t shard = 0; shard < shards_; ++shard) {
@@ -329,8 +259,7 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       const double shard_base = clock.now();  // round start of this shard
       const int tag = sharded_ ? static_cast<int>(shard) : -1;
       double shard_elapsed = lost_downlink[shard];
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        engine::Dispatch& d = work[i];
+      for (engine::Dispatch& d : work) {
         const ClientSlot& s = d.slot;
         if (shard_of(s.client) != shard) continue;
         std::size_t bytes_up = 0;
@@ -338,39 +267,29 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
           // Uplink on the session clock that holds the downlink and compute.
           // Updates lost after all retries, or delivered past the round
           // deadline (stragglers), are never aggregated.
-          const engine::Uplink up = dispatcher.send_update(d, /*reupload_backoff_s=*/0.0);
+          const engine::Uplink up =
+              core.dispatcher.send_update(d, /*reupload_backoff_s=*/0.0);
           const double uplink_end = shard_base + d.sess.elapsed_seconds();
-          lifecycle.phase(d.id, engine::kPhaseUplink, shard_base + up.start_elapsed,
-                          uplink_end, up.attempts, up.backoff_seconds, up.bytes);
+          core.lifecycle.phase(d.id, engine::kPhaseUplink, shard_base + up.start_elapsed,
+                               uplink_end, up.attempts, up.backoff_seconds, up.bytes);
           shard_elapsed = std::max(shard_elapsed, d.sess.elapsed_seconds());
           bytes_up = up.bytes;
           if (!up.delivered || (deadline > 0.0 && d.sess.elapsed_seconds() > deadline)) {
-            dispatcher.fail(
+            core.dispatcher.fail(
                 d, up.delivered ? DispatchFailure::kDeadline : DispatchFailure::kLostUplink,
-                *telemetry, uplink_end, /*virtual_time=*/-1.0);
+                uplink_end, /*virtual_time=*/-1.0);
             continue;
           }
-          lifecycle.arrived(d.id, uplink_end);
-          dispatcher.decode_update(d);
         }
-        result.comm.record_return(s.params_back);
-        telemetry->add_train_seconds(d.outcome.stats.seconds);
-        telemetry->client_ok();
-        queue_hist.record(queue_seconds[i]);
-        train_hist.record(exec_seconds[i]);
-        if (obs::trace_enabled()) {
-          obs::TraceEvent ev("dispatch");
-          engine::dispatch_fields(ev, d, "ok");
-          ev.field("back", static_cast<std::uint64_t>(s.back_index))
-              .field("params_back", static_cast<std::uint64_t>(s.params_back))
-              .field("train_ms", d.outcome.stats.seconds * 1e3)
-              .field("dur_ms", exec_seconds[i] * 1e3);
+        core.dispatcher.arrive(d, shard_base + d.sess.elapsed_seconds(), [&](obs::TraceEvent& ev) {
+          ev.field("train_ms", d.outcome.stats.seconds * 1e3).field("dur_ms", d.exec_s * 1e3);
           if (sharded_ && transport_.enabled()) {
             ev.field("bytes_down", static_cast<std::uint64_t>(d.down_bytes))
                 .field("bytes_up", static_cast<std::uint64_t>(bytes_up));
           }
-          ev.emit();
-        }
+        });
+        queue_hist.record(d.queue_s);
+        train_hist.record(d.exec_s);
         if (sharded_) {
           edges[shard].add(
               ClientUpdate{std::move(d.outcome.params), d.outcome.samples});
@@ -387,19 +306,19 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         clock.advance_to(clock.now() + (deadline > 0.0
                                             ? std::min(deadline, shard_elapsed)
                                             : shard_elapsed));
-        lifecycle.commit_window(clock.now(), tag, static_cast<long long>(round));
+        core.lifecycle.commit_window(clock.now(), tag, static_cast<long long>(round));
       }
     }
     if (!work.empty() && exec_wall > 0.0) {
       double busy = 0.0;
-      for (double s : exec_seconds) busy += s;
+      for (const engine::Dispatch& d : work) busy += d.exec_s;
       obs::metrics()
           .gauge("afl.engine.pool.utilization")
-          .set(busy / (exec_wall * static_cast<double>(pool.size())));
+          .set(busy / (exec_wall * static_cast<double>(core.pool.size())));
     }
 
     // Phase 4 (sequential): aggregate — the edge folds plus the root merge
-    // when a sync is due — then evaluation on sync rounds.
+    // when a sync is due — then the window close.
     const bool sync_round = round % sync_every_ == 0 || round == config_.rounds;
     {
       AFL_PROF_SPAN("engine.aggregate");
@@ -435,74 +354,31 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
             for (std::size_t s = 0; s < shards_; ++s) {
               const double before = clocks[s].now();
               if (before < vmax) {
-                lifecycle.root_wait(round, static_cast<int>(s), before, vmax);
+                core.lifecycle.root_wait(round, static_cast<int>(s), before, vmax);
               }
               clocks[s].advance_to(vmax);
             }
-            lifecycle.root_merge(round, vmax);
+            core.lifecycle.root_merge(round, vmax);
           }
         }
       }
-      telemetry->add_aggregate_seconds(agg_watch.seconds());
+      core.telemetry->add_aggregate_seconds(agg_watch.seconds());
     }
-    policy.end_round(round, *telemetry);
 
+    double round_sim = -1.0;
+    double now = -1.0;  // the run clock; stays negative while nothing models time
     if (transport_.enabled()) {
-      const double round_sim = deadline > 0.0
-                                   ? std::min(deadline, round_elapsed_max)
-                                   : round_elapsed_max;
-      for (const async::VirtualClock& clock : clocks) {
-        sim_total = std::max(sim_total, clock.now());
-      }
-      telemetry->set_sim_time(round_sim, sim_total);
+      round_sim = deadline > 0.0 ? std::min(deadline, round_elapsed_max) : round_elapsed_max;
+      now = core.sim_time;
+      for (const async::VirtualClock& clock : clocks) now = std::max(now, clock.now());
     }
-
-    // Eval only on sync rounds (between syncs the root global is stale);
-    // every round of a flat run is one.
-    if (sync_round && config_.eval_every != 0 &&
-        (round % config_.eval_every == 0 || round == config_.rounds)) {
-      AFL_PROF_SPAN("engine.evaluate");
-      engine::evaluate_global(policy, round, result, pool, &*telemetry,
-                              transport_.enabled() ? sim_total : -1.0);
-    }
-    telemetry.reset();  // flush this round's metrics record
-    if (sync_round) obs::sample_rss();  // same memory cadence as async flushes
-    publish_run_status(result, round, config_.rounds, watch.seconds(), threads_,
-                       /*active=*/round < config_.rounds, &lifecycle.blame());
-
-    // Snapshots (and stop-after) fire only on sync rounds: between syncs the
-    // edge windows hold un-merged coverage mass that the format deliberately
-    // does not carry.
-    if (sync_round && snap.due(round)) {
-      SnapshotWriter w(snap.snapshot_path);
-      engine::write_header(w, snap_format, config_, result.algorithm, round);
-      engine::write_result(w, result);
-      engine::write_rng(w, rng);
-      w.f64(sim_total);
-      w.u64(lifecycle.last_id());
-      if (sharded_) {
-        w.u64(clocks.size());
-        for (const async::VirtualClock& clock : clocks) w.f64(clock.now());
-      }
-      if (compressor.enabled()) compressor.snapshot(w);
-      policy.snapshot_state(w);
-      w.finish();
-    }
-    if (sync_round && snap.stop_after(round)) {
-      // Killed-at-round-k semantics: hand back the partial result; a later
-      // run resumes from the snapshot and reproduces the full run exactly.
-      engine::finish_run(result, watch, sim_total, round, config_.rounds,
-                         threads_, lifecycle, transport_);
-      return result;
-    }
+    // Only sync rounds (every round of a flat run) evaluate, snapshot and
+    // stop: between syncs the root global is stale, and the edge windows
+    // hold un-merged coverage mass that the format deliberately does not
+    // carry.
+    if (core.close_window(round, sync_round, round_sim, now)) return core.finish(round);
   }
-
-  if (result.curve.empty()) {
-    engine::evaluate_global(policy, config_.rounds, result, pool);
-  }
-  engine::finish_run(result, watch, sim_total, config_.rounds, config_.rounds,
-                     threads_, lifecycle, transport_);
-  return result;
+  return core.end();
 }
 
 }  // namespace afl

@@ -24,7 +24,8 @@
 // is safe).
 //
 // The per-dispatch steps (accounting, availability, transport, failure
-// booking) are shared with the async engine in engine/dispatch.hpp. Every
+// booking) are shared with the async engine in engine/dispatch.hpp, the
+// run's start, windows, snapshots and end in engine/telemetry.hpp. Every
 // dispatch is recorded before the availability check, so a device that never
 // responds, or cannot train even the smallest offered submodel, counts as
 // pure waste. With a channel configured (src/net/, docs/NET.md) frames lost
@@ -77,8 +78,12 @@ struct ClientSlot {
   /// Decoded downlink payload, set by the engine's transport when a channel
   /// is configured: the dispatch_params() tensors the device actually
   /// received, codec-quantized when the codec is lossy. Null on the identity
-  /// path, where local_view() reads the global.
+  /// path, where local_view() splits the source.
   const ParamSet* rx = nullptr;
+  /// The model dispatch_params() and local_view() split from: null for the
+  /// policy's global, the owning shard's model in a divergent sharded run
+  /// (docs/HIERARCHY.md). Only HierRoundPolicy implementations read it.
+  const ParamSet* source = nullptr;
 };
 
 /// What one client's local training produced (execute() return value).
@@ -202,9 +207,8 @@ class RoundPolicy {
 /// seams: a run-scoped (rather than round-scoped) busy set, because clients
 /// stay in flight across aggregation flushes; weighted commits, because
 /// staleness discounts the update's aggregation weight; and a begin hook
-/// replacing the per-round cohort reset. begin_round()/select() are still
-/// called per dispatch so per-round policy state (e.g. RL reward windows)
-/// keeps working; the engine maps one "round" to one dispatch.
+/// replacing the per-round cohort reset, so begin_round() is never called;
+/// select() runs once per dispatch, whose id is the slot's "round".
 class AsyncRoundPolicy : public RoundPolicy {
  public:
   /// Called once before the first dispatch, instead of per-round cohort
@@ -226,8 +230,9 @@ class AsyncRoundPolicy : public RoundPolicy {
 /// sharded run plans rounds through the same sequential hooks as a flat one
 /// but owns aggregation itself: per-shard ShardAggregators fold the updates and
 /// the root merge commits the new global, so commit()/aggregate() are never
-/// called. That requires direct access to the policy's global parameter set
-/// plus a payload split against an explicit (possibly shard-local) model.
+/// called. That requires direct access to the policy's global parameter set,
+/// and dispatch_params()/local_view() that split from ClientSlot::source when
+/// it is set (shard models diverge from the root global between syncs).
 class HierRoundPolicy : public AsyncRoundPolicy {
  public:
   /// The policy's current global parameter set (frozen between syncs).
@@ -235,17 +240,45 @@ class HierRoundPolicy : public AsyncRoundPolicy {
 
   /// Replaces the global parameter set (the root merge's commit).
   virtual void hier_set_global(ParamSet global) = 0;
-
-  /// The downlink payload for `slot` split from an explicit model — the
-  /// hierarchical analogue of dispatch_params(), used when shard models
-  /// diverge from the root global between syncs (sync_every > 1).
-  virtual ParamSet hier_dispatch_params(const ClientSlot& slot,
-                                        const ParamSet& model) const = 0;
 };
 
-/// Drives a RoundPolicy through config.rounds rounds. `devices` may be null
-/// for idealized baselines (always responsive, unlimited capacity); otherwise
-/// it must hold one profile per client and outlive the engine.
+namespace engine {
+
+class RunCore;
+
+/// What both engines resolve at construction (docs/ENGINE.md, "One run
+/// core"): the worker count (config.threads or AFL_THREADS) and the simulated
+/// transport (config.net or the AFL_NET_* environment; disabled by default —
+/// the identity path). `devices` may be null for idealized baselines (always
+/// responsive, unlimited capacity); otherwise it must hold one profile per
+/// client and outlive the engine. `population` (optional, not owned)
+/// supplies churn telemetry and per-client channel profiles
+/// (docs/POPULATION.md); churn presence itself reaches the engine through
+/// the devices' presence pointers.
+class EngineBase {
+ public:
+  /// Worker threads the engine resolved.
+  std::size_t threads() const { return threads_; }
+
+  /// The resolved simulated transport.
+  const net::Transport& transport() const { return transport_; }
+
+ protected:
+  friend class RunCore;
+  EngineBase(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
+             const pop::Population* population);
+
+  FlRunConfig config_;
+  const std::vector<DeviceSim>* devices_;
+  const pop::Population* population_;
+  std::size_t threads_;
+  net::Transport transport_;
+};
+
+}  // namespace engine
+
+/// Drives a RoundPolicy through config.rounds rounds; `devices` and
+/// `population` as in engine::EngineBase.
 ///
 /// Sharded mode (docs/HIERARCHY.md): an enabled `hier` config partitions the
 /// clients across `shards` edge aggregators by client_id % shards. Each edge
@@ -256,11 +289,8 @@ class HierRoundPolicy : public AsyncRoundPolicy {
 /// tags, and aggregation through the policy's own commit()/aggregate(). With
 /// sync_every == 1 a sharded run is bit-identical to the flat run for any
 /// shard count and any AFL_THREADS.
-class RoundEngine {
+class RoundEngine : public engine::EngineBase {
  public:
-  /// `population` (optional, not owned) supplies churn telemetry and
-  /// per-client channel profiles (docs/POPULATION.md); the churn schedules
-  /// themselves reach the engine through the devices' presence pointers.
   RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
               const pop::Population* population = nullptr,
               const hier::HierConfig& hier = {});
@@ -269,22 +299,10 @@ class RoundEngine {
   /// not a HierRoundPolicy.
   RunResult run(RoundPolicy& policy);
 
-  /// Worker threads the engine resolved (config.threads or AFL_THREADS).
-  std::size_t threads() const { return threads_; }
-
-  /// The resolved simulated transport (config.net or the AFL_NET_*
-  /// environment; disabled by default — the identity path).
-  const net::Transport& transport() const { return transport_; }
-
  private:
-  FlRunConfig config_;
-  const std::vector<DeviceSim>* devices_;
-  const pop::Population* population_;
   bool sharded_;
   std::size_t shards_;      // 1 when flat
   std::size_t sync_every_;  // 1 when flat
-  std::size_t threads_;
-  net::Transport transport_;
 };
 
 }  // namespace afl

@@ -59,19 +59,18 @@ std::size_t read_header(SnapshotReader& r, const std::string& format,
   return static_cast<std::size_t>(r.u64());
 }
 
-void write_rng(SnapshotWriter& w, const Rng& rng) {
-  const Rng::State st = rng.state();
+void write_rng(SnapshotWriter& w, const Rng::State& st) {
   for (int i = 0; i < 4; ++i) w.u64(st.s[i]);
   w.u64(st.has_cached_normal ? 1 : 0);
   w.f64(st.cached_normal);
 }
 
-void read_rng(SnapshotReader& r, Rng& rng) {
+Rng::State read_rng(SnapshotReader& r) {
   Rng::State st;
   for (int i = 0; i < 4; ++i) st.s[i] = r.u64();
   st.has_cached_normal = r.u64() != 0;
   st.cached_normal = r.f64();
-  rng.set_state(st);
+  return st;
 }
 
 void write_comm(SnapshotWriter& w, const CommStats& comm) {

@@ -73,8 +73,8 @@ void write_header(SnapshotWriter& w, const std::string& format,
 std::size_t read_header(SnapshotReader& r, const std::string& format,
                         const FlRunConfig& config, const std::string& algorithm);
 
-void write_rng(SnapshotWriter& w, const Rng& rng);
-void read_rng(SnapshotReader& r, Rng& rng);
+void write_rng(SnapshotWriter& w, const Rng::State& st);
+Rng::State read_rng(SnapshotReader& r);
 
 void write_comm(SnapshotWriter& w, const CommStats& comm);
 void read_comm(SnapshotReader& r, CommStats& comm);

@@ -2,14 +2,38 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
+#include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
+#include "obs/rss.hpp"
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
 
 namespace afl::engine {
+namespace {
 
+/// Trace schema label stamped on every run_start header; afl-insight refuses
+/// to diff traces whose schemas disagree. v2 adds the dispatch-lifecycle
+/// records (engine/lifecycle.hpp); v3 adds per-round `churn` records, the
+/// departed/went_dark dispatch outcomes, and population run_start columns
+/// (src/pop/, docs/POPULATION.md) — each a pure superset of its predecessor,
+/// so older readers keep working on every record kind they know.
+constexpr const char* kTraceSchema = "afl.trace.v3";
+
+const char* snapshot_format(RunMode mode) {
+  return mode == RunMode::kFlat   ? kSyncSnapshotFormat
+         : mode == RunMode::kHier ? kHierSnapshotFormat
+                                  : kAsyncSnapshotFormat;
+}
+
+/// Emits the run_start header. `mode` tags non-default execution models
+/// (the async engine passes "async", a sharded RoundEngine run "hier"); null
+/// omits the field so synchronous traces stay byte-identical. `shards` > 0
+/// adds the hierarchical topology columns (shards, sync_every).
+/// `population`, when non-null, adds the population columns (fleet size,
+/// churn knobs, channel spread); null keeps static-fleet traces unchanged.
 void trace_run_start(const RunResult& result, const FlRunConfig& config,
                      std::size_t threads, const net::Transport& transport,
                      const char* mode, std::size_t shards,
@@ -73,7 +97,59 @@ void trace_run_start(const RunResult& result, const FlRunConfig& config,
   ev.emit();
 }
 
-void trace_churn(std::size_t round, const pop::RoundChurn& churn) {
+}  // namespace
+
+RunCore::RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
+                 std::size_t shards, std::size_t sync_every)
+    : pool(engine.threads_),
+      rng(engine.config_.seed),
+      // Lifecycle tracing (afl.trace.v2) is active only in runs that model
+      // time, so transportless traces stay byte-identical to v1 builds.
+      lifecycle(mode == RunMode::kAsync || engine.transport_.enabled()),
+      // Sparsifying uplink + error feedback (src/compress/,
+      // docs/COMPRESSION.md). Disabled unless the transport's uplink codec is
+      // top-k; disabled it is a pure no-op and runs stay byte-identical.
+      compressor(engine.transport_, compress::CompressConfig::from_env()),
+      dispatcher{mode == RunMode::kAsync ? "AsyncEngine" : "RoundEngine",
+                 policy, engine.devices_, engine.transport_, compressor,
+                 lifecycle, result, telemetry},
+      snap(SnapshotPlan::resolve(engine.config_)),
+      engine_(engine),
+      policy_(policy),
+      mode_(mode) {
+  const bool hier = mode == RunMode::kHier;
+  result.algorithm = policy.algorithm_name() + (mode == RunMode::kAsync ? "+Async" : "");
+  obs::ensure_default_http_server();
+  trace_run_start(result, engine.config_, engine.threads_, engine.transport_,
+                  hier ? "hier" : mode == RunMode::kAsync ? "async" : nullptr,
+                  hier ? shards : 0, hier ? sync_every : 0, engine.population_);
+  publish(0, 0.0, /*active=*/true);
+  obs::metrics().gauge("afl.engine.pool.threads").set(static_cast<double>(pool.size()));
+  policy.init_global(rng);
+}
+
+std::size_t RunCore::resume() {
+  if (!snap.resume_enabled()) return 0;
+  SnapshotReader r(snap.resume_from);
+  const std::size_t round =
+      read_header(r, snapshot_format(mode_), engine_.config_, result.algorithm);
+  read_result(r, result);
+  rng.set_state(read_rng(r));
+  head.read(r);
+  if (compressor.enabled()) compressor.restore(r);
+  policy_.restore_state(r);
+  if (tail.read) tail.read(r);
+  r.expect_end();
+  return round;
+}
+
+void RunCore::open_window(std::size_t round) {
+  telemetry.emplace(result, round);
+  telemetry->set_net_enabled(engine_.transport_.enabled());
+  // The population's membership deltas feed the afl.pop.* counters and a
+  // `churn` record (afl.trace.v3); static-fleet runs gain neither.
+  if (engine_.population_ == nullptr) return;
+  const pop::RoundChurn churn = engine_.population_->round_churn(round);
   static obs::Counter& joins = obs::metrics().counter("afl.pop.joins");
   static obs::Counter& departures = obs::metrics().counter("afl.pop.departures");
   static obs::Counter& dark = obs::metrics().counter("afl.pop.dark.rounds");
@@ -92,11 +168,65 @@ void trace_churn(std::size_t round, const pop::RoundChurn& churn) {
   ev.emit();
 }
 
-namespace {
+bool RunCore::close_window(std::size_t round, bool sync, double round_sim, double now) {
+  const FlRunConfig& config = engine_.config_;
+  policy_.end_round(round, *telemetry);
+  if (now >= 0.0) {
+    telemetry->set_sim_time(round_sim, now);
+    sim_time = now;
+  }
+  if (sync && config.eval_every != 0 &&
+      (round % config.eval_every == 0 || round == config.rounds)) {
+    AFL_PROF_SPAN(mode_ == RunMode::kAsync ? "async.evaluate" : "engine.evaluate");
+    evaluate(round, now);
+  }
+  telemetry.reset();  // appends this window's metrics record
+  if (sync) obs::sample_rss();
+  publish(round, watch_.seconds(), /*active=*/round < config.rounds);
+  if (sync && snap.due(round)) {
+    SnapshotWriter w(snap.snapshot_path);
+    write_header(w, snapshot_format(mode_), config, result.algorithm, round);
+    write_result(w, result);
+    write_rng(w, rng.state());
+    head.write(w);
+    if (compressor.enabled()) compressor.snapshot(w);
+    policy_.snapshot_state(w);
+    if (tail.write) tail.write(w);
+    w.finish();
+  }
+  return sync && snap.stop_after(round);
+}
 
-/// Emits the run_end summary. Adds a sim_seconds column when the run
-/// tracked simulated time (result.sim_seconds > 0).
-void trace_run_end(const RunResult& result, const net::Transport& transport) {
+double RunCore::train(const std::vector<Dispatch*>& wave, const char* span,
+                      const char* client_span) {
+  AFL_PROF_SPAN(span);
+  Stopwatch wave_watch;
+  pool.parallel_for(wave.size(), [&](std::size_t i) {
+    // Worker-thread span: lands on the pool thread's own span stack, so
+    // kernel spans nested under it attribute correctly per thread.
+    AFL_PROF_SPAN(client_span);
+    Dispatch& d = *wave[i];
+    d.queue_s = wave_watch.seconds();
+    Stopwatch item_watch;
+    Rng crng = Rng::derive(engine_.config_.seed, d.slot.round, d.slot.client);
+    d.outcome = policy_.execute(d.slot, crng);
+    d.trained = true;
+    d.exec_s = item_watch.seconds();
+  });
+  return wave_watch.seconds();
+}
+
+RunResult RunCore::end() {
+  telemetry.reset();
+  if (result.curve.empty()) evaluate(engine_.config_.rounds, /*now=*/-1.0);
+  return finish(engine_.config_.rounds);
+}
+
+RunResult RunCore::finish(std::size_t round) {
+  telemetry.reset();
+  result.wall_seconds = watch_.seconds();
+  result.sim_seconds = sim_time;
+  publish(round, result.wall_seconds, /*active=*/false);
   // Run end is the profiler's flush point: aggregates become afl.prof.*
   // gauges on /metrics and, when tracing is also on, `profile` records in
   // the JSONL trace. With AFL_PROFILE unset both calls are skipped entirely.
@@ -104,7 +234,8 @@ void trace_run_end(const RunResult& result, const net::Transport& transport) {
     obs::prof::publish(obs::metrics());
     obs::prof::emit_trace_records();
   }
-  if (!obs::trace_enabled()) return;
+  if (!obs::trace_enabled()) return std::move(result);
+  const net::Transport& transport = engine_.transport_;
   obs::TraceEvent ev("run_end");
   ev.field("algo", result.algorithm)
       .field("rounds", static_cast<std::uint64_t>(result.round_metrics.size()))
@@ -126,30 +257,15 @@ void trace_run_end(const RunResult& result, const net::Transport& transport) {
         .field("stragglers", static_cast<std::uint64_t>(result.comm.stragglers()))
         .field("drops", static_cast<std::uint64_t>(result.comm.drops()));
   }
+  // A sim_seconds column only when the run tracked simulated time.
   if (result.sim_seconds > 0.0) ev.field("sim_seconds", result.sim_seconds);
   ev.field("wall_ms", result.wall_seconds * 1e3);
   ev.emit();
+  return std::move(result);
 }
 
-/// Emits an eval_point trace event: the simulated clock at which the run's
-/// evaluation curve reached an accuracy.
-void trace_eval_point(std::size_t round, double virtual_time, double full_acc,
-                      double avg_acc) {
-  if (!obs::trace_enabled()) return;
-  obs::TraceEvent ev("eval_point");
-  ev.field("round", static_cast<std::uint64_t>(round))
-      .field("virtual_time", virtual_time)
-      .field("full_acc", full_acc)
-      .field("avg_acc", avg_acc);
-  ev.emit();
-}
-
-}  // namespace
-
-void publish_run_status(const RunResult& result, std::size_t round,
-                        std::size_t total_rounds, double elapsed_seconds,
-                        std::size_t threads, bool active,
-                        const LifecycleBlame* blame) {
+void RunCore::publish(std::size_t round, double elapsed_seconds, bool active) const {
+  const std::size_t total_rounds = engine_.config_.rounds;
   obs::RunStatus s;
   s.active = active;
   s.set_algorithm(result.algorithm);
@@ -174,14 +290,15 @@ void publish_run_status(const RunResult& result, std::size_t round,
   s.eta_seconds = round > 0 ? elapsed_seconds / static_cast<double>(round) *
                                   static_cast<double>(total_rounds - round)
                             : 0.0;
-  s.threads = threads;
-  if (blame != nullptr && blame->valid) {
+  s.threads = engine_.threads_;
+  const LifecycleBlame& blame = lifecycle.blame();
+  if (blame.valid) {
     s.cp_valid = true;
-    s.cp_downlink = blame->downlink;
-    s.cp_compute = blame->compute;
-    s.cp_uplink = blame->uplink;
-    s.cp_backoff = blame->backoff;
-    s.cp_buffer_wait = blame->buffer_wait;
+    s.cp_downlink = blame.downlink;
+    s.cp_compute = blame.compute;
+    s.cp_uplink = blame.uplink;
+    s.cp_backoff = blame.backoff;
+    s.cp_buffer_wait = blame.buffer_wait;
   }
   obs::run_status().publish(s);
   // Round boundaries double as crash-residue refresh points: registered
@@ -191,31 +308,21 @@ void publish_run_status(const RunResult& result, std::size_t round,
   obs::run_trace_flush_hooks();
 }
 
-void evaluate_global(RoundPolicy& policy, std::size_t round, RunResult& result,
-                     ThreadPool& workers, RoundTelemetry* telemetry,
-                     double sim_time) {
+void RunCore::evaluate(std::size_t round, double now) {
   Stopwatch watch;
-  policy.evaluate(round, result, workers);
+  policy_.evaluate(round, result, pool);
   result.curve.push_back({round, result.final_full_acc, result.final_avg_acc,
-                          result.comm.waste_rate(),
-                          result.comm.round_waste_rate()});
-  if (telemetry != nullptr) telemetry->add_eval_seconds(watch.seconds());
-  if (sim_time >= 0.0) {
-    result.note_time_to_acc(result.final_full_acc, sim_time, round);
-    trace_eval_point(round, sim_time, result.final_full_acc,
-                     result.final_avg_acc);
-  }
-}
-
-void finish_run(RunResult& result, const Stopwatch& watch, double sim_seconds,
-                std::size_t round, std::size_t total_rounds, std::size_t threads,
-                const LifecycleTracker& lifecycle,
-                const net::Transport& transport) {
-  result.wall_seconds = watch.seconds();
-  result.sim_seconds = sim_seconds;
-  publish_run_status(result, round, total_rounds, result.wall_seconds, threads,
-                     /*active=*/false, &lifecycle.blame());
-  trace_run_end(result, transport);
+                          result.comm.waste_rate(), result.comm.round_waste_rate()});
+  if (telemetry) telemetry->add_eval_seconds(watch.seconds());
+  if (now < 0.0) return;
+  result.note_time_to_acc(result.final_full_acc, now, round);
+  if (!obs::trace_enabled()) return;
+  obs::TraceEvent ev("eval_point");
+  ev.field("round", static_cast<std::uint64_t>(round))
+      .field("virtual_time", now)
+      .field("full_acc", result.final_full_acc)
+      .field("avg_acc", result.final_avg_acc);
+  ev.emit();
 }
 
 }  // namespace afl::engine

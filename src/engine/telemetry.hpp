@@ -1,68 +1,112 @@
 #pragma once
-// Run-level trace / status helpers shared by the synchronous RoundEngine and
-// the async engine (src/async/engine.*). Both execution models must emit
-// identical run_start / run_end records so afl-insight can diff their
-// traces, and they evaluate and close a run through the same steps.
+// The run core shared by the synchronous RoundEngine and the async engine
+// (src/async/engine.*), docs/ENGINE.md "One run core": run start, the
+// snapshot frame, window open and close, the training wave and the run
+// end. Each engine's run() keeps only its schedule. Both engines therefore
+// emit identical run_start / run_end records, so afl-insight can diff their
+// traces.
 
 #include <cstddef>
+#include <functional>
+#include <optional>
+#include <vector>
 
+#include "compress/compressor.hpp"
+#include "engine/dispatch.hpp"
 #include "engine/lifecycle.hpp"
 #include "engine/round_engine.hpp"
 #include "engine/run.hpp"
-#include "net/transport.hpp"
+#include "engine/snapshot.hpp"
+#include "nn/checkpoint.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace afl::engine {
 
-/// Trace schema label stamped on every run_start header; afl-insight refuses
-/// to diff traces whose schemas disagree. v2 adds the dispatch-lifecycle
-/// records (engine/lifecycle.hpp); v3 adds per-round `churn` records, the
-/// departed/went_dark dispatch outcomes, and population run_start columns
-/// (src/pop/, docs/POPULATION.md) — each a pure superset of its predecessor,
-/// so older readers keep working on every record kind they know.
-inline constexpr const char* kTraceSchema = "afl.trace.v3";
+/// Which run a RunCore drives: it fixes the run_start `mode` column, the
+/// snapshot format, the "+Async" name suffix and the evaluate span.
+enum class RunMode { kFlat, kHier, kAsync };
 
-/// Emits the run_start header. `mode` tags non-default execution models
-/// (the async engine passes "async", a sharded RoundEngine run "hier"); null
-/// omits the field so synchronous traces stay byte-identical. `shards` > 0
-/// adds the hierarchical topology columns (shards, sync_every).
-/// `population`, when non-null, adds the population columns (fleet size,
-/// churn knobs, channel spread); null keeps static-fleet traces unchanged.
-void trace_run_start(const RunResult& result, const FlRunConfig& config,
-                     std::size_t threads, const net::Transport& transport,
-                     const char* mode = nullptr, std::size_t shards = 0,
-                     std::size_t sync_every = 0,
-                     const pop::Population* population = nullptr);
+/// One run's shared state and steps. Every call runs on the engine thread.
+class RunCore {
+ public:
+  /// Run start: the HTTP server, the run_start record (`shards` and
+  /// `sync_every` are kHier's topology columns), the first status, the pool,
+  /// the root RNG and policy.init_global(), the lifecycle tracker (active
+  /// when the run models time), the compressor and the dispatcher.
+  RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
+          std::size_t shards = 0, std::size_t sync_every = 0);
 
-/// Emits a per-round `churn` record (afl.trace.v3) with the population
-/// membership deltas, and feeds the afl.pop.* counters. Call once per round
-/// (or per async flush window) — only when a population is attached, so
-/// static-fleet traces gain no records.
-void trace_churn(std::size_t round, const pop::RoundChurn& churn);
+  /// The engine's own snapshot state, around the shared frame: header,
+  /// result, RNG, head, compressor, policy, tail. Each section's write and
+  /// read must mirror each other; an unset tail is empty.
+  struct Section {
+    std::function<void(SnapshotWriter&)> write;
+    std::function<void(SnapshotReader&)> read;
+  };
+  Section head, tail;
 
-/// Publishes a RunStatus snapshot to the live status board. `blame`, when
-/// non-null and valid, fills the snapshot's critical_path block (the online
-/// per-phase attribution from the run's LifecycleTracker).
-void publish_run_status(const RunResult& result, std::size_t round,
-                        std::size_t total_rounds, double elapsed_seconds,
-                        std::size_t threads, bool active,
-                        const LifecycleBlame* blame = nullptr);
+  /// Restores the snapshot the plan resumes from, if any, over the structure
+  /// init_global() built. Returns its round; 0 is a fresh start.
+  std::size_t resume();
 
-/// Evaluates the global model after `round` and appends the curve point
-/// (with the comm-waste columns). `telemetry`, when non-null, gets the wall
-/// time. `sim_time` >= 0 (a run that models time) also notes time-to-accuracy
-/// and emits an eval_point record (the afl-insight `timeline` input).
-void evaluate_global(RoundPolicy& policy, std::size_t round, RunResult& result,
-                     ThreadPool& workers, RoundTelemetry* telemetry = nullptr,
-                     double sim_time = -1.0);
+  /// Opens window `round` (a round, or an async flush window): its telemetry
+  /// and, with a population attached, its `churn` record.
+  void open_window(std::size_t round);
 
-/// Closes a run after `round`: stamps wall_seconds and sim_seconds, publishes
-/// the final (inactive) status and emits the run_end summary (with a
-/// sim_seconds column when the run tracked simulated time).
-void finish_run(RunResult& result, const Stopwatch& watch, double sim_seconds,
-                std::size_t round, std::size_t total_rounds, std::size_t threads,
-                const LifecycleTracker& lifecycle,
-                const net::Transport& transport);
+  /// Closes window `round` after its aggregation: end_round(); the simulated
+  /// time when `now` >= 0 (`round_sim` the window's share); evaluation when
+  /// due; the metrics record; status. Only a `sync` window (false for a
+  /// sharded round between root syncs) evaluates, samples RSS and writes
+  /// the snapshot. Returns true when the run stops here (stop-after).
+  bool close_window(std::size_t round, bool sync, double round_sim, double now);
+
+  /// The training wave under `span`: execute() for every dispatch in `wave`
+  /// on the pool, each under `client_span` with its own Rng::derive(seed,
+  /// round, client) stream, stamping queue_s and exec_s. Returns the wave's
+  /// wall seconds.
+  double train(const std::vector<Dispatch*>& wave, const char* span,
+               const char* client_span);
+
+  /// Run end: evaluates the final global when the curve is empty, then
+  /// finish(config.rounds).
+  RunResult end();
+
+  /// Closes the run after `round`: wall and simulated seconds, the final
+  /// status and the run_end record. A stop-after run hands back its partial
+  /// result here; a later run resumes from the snapshot and reproduces the
+  /// full run exactly.
+  RunResult finish(std::size_t round);
+
+  RunResult result;
+  ThreadPool pool;
+  Rng rng;
+  LifecycleTracker lifecycle;
+  compress::Compressor compressor;
+  /// The open window's collector. Held in an optional so a window close can
+  /// flush (destroy) it before the status publish.
+  std::optional<RoundTelemetry> telemetry;
+  Dispatcher dispatcher;
+  const SnapshotPlan snap;
+  /// Simulated clock at the last window close (0 while nothing models time).
+  double sim_time = 0.0;
+
+ private:
+  const EngineBase& engine_;
+  RoundPolicy& policy_;
+  RunMode mode_;
+  Stopwatch watch_;
+
+  /// Publishes a RunStatus to the live status board, with the lifecycle's
+  /// critical-path blame once it is valid.
+  void publish(std::size_t round, double elapsed_seconds, bool active) const;
+
+  /// Evaluates the global after `round` and appends the curve point (with
+  /// the comm-waste columns). `now` >= 0 (a run that models time) also notes
+  /// time-to-accuracy and emits an eval_point record (the afl-insight
+  /// `timeline` input).
+  void evaluate(std::size_t round, double now);
+};
 
 }  // namespace afl::engine

@@ -60,6 +60,12 @@ struct DeviceSim {
   /// availability draw, keeping churn-free fleets byte-identical.
   bool responds(std::size_t round, Rng& rng) const;
 
+  /// Whether responds(round, rng) returns true for some draw: present this
+  /// round with a nonzero availability. Draws nothing.
+  bool can_respond(std::size_t round) const {
+    return availability > 0.0 && presence_state(round) == PresenceSchedule::State::kPresent;
+  }
+
   /// Population state this round; kPresent when no schedule is attached.
   PresenceSchedule::State presence_state(std::size_t round) const {
     return presence == nullptr ? PresenceSchedule::State::kPresent

@@ -1,7 +1,8 @@
 // Unit tests for the shared RoundEngine and its thread pool: hook sequencing
-// with mock policies (no-response, adapt-failure, empty-selection), the
-// unified dispatch-accounting rule, deterministic parallel execution, and
-// failure routing shared with the async engine.
+// with mock policies (no-response, adapt-failure, empty-selection) under both
+// engines, the unified dispatch-accounting rule, deterministic parallel
+// execution, the async engine's stop rule, and failure routing
+// shared with the async engine.
 
 #include <gtest/gtest.h>
 
@@ -359,6 +360,138 @@ TEST(RoundEngine, EvalEveryZeroStillProducesFinalPoint) {
 }
 
 // ---------------------------------------------------------------------------
+// AsyncEngine: the sequencing scenarios above under buffered flushes
+// ---------------------------------------------------------------------------
+
+/// Runs `policy` under the async engine's default knobs: the buffer holds
+/// clients_per_round arrivals, and twice that many dispatches (capped at the
+/// fleet size) stay in flight.
+RunResult run_async(const FlRunConfig& cfg, const std::vector<DeviceSim>& fleet,
+                    MockPolicy& policy) {
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  return async::AsyncEngine(cfg, acfg, &fleet).run(policy);
+}
+
+TEST(AsyncEngine, HappyPathSequencing) {
+  MockPolicy policy(3);
+  auto fleet = mock_fleet(3, 1000, 1.0);
+  RunResult r = run_async(mock_config(2, 3), fleet, policy);
+
+  EXPECT_EQ(r.algorithm, "Mock+Async");
+  // No begin_round(): every arrival frees its client, which the top-up
+  // redispatches before the next event; three arrivals fill the buffer.
+  const std::vector<std::string> want = {
+      "init",       "accepted:0", "accepted:1", "accepted:2", "commit:0",
+      "accepted:0", "commit:1",   "accepted:1", "commit:2",   "aggregate:1",
+      "accepted:2", "commit:0",   "accepted:0", "commit:1",   "accepted:1",
+      "commit:2",   "aggregate:2"};
+  EXPECT_EQ(policy.log_, want);
+  EXPECT_EQ(r.failed_trainings, 0u);
+  EXPECT_EQ(r.comm.params_sent(), 800u);  // two dispatches still in flight
+  EXPECT_EQ(r.comm.params_returned(), 360u);
+  EXPECT_EQ(policy.executions_.load(), 6u);
+  ASSERT_EQ(r.round_metrics.size(), 2u);
+  for (const RoundMetrics& m : r.round_metrics) {
+    EXPECT_EQ(m.clients_ok, 3u);
+    EXPECT_EQ(m.clients_failed, 0u);
+  }
+  ASSERT_EQ(r.curve.size(), 2u);
+  EXPECT_EQ(r.curve[0].round, 1u);
+  EXPECT_EQ(r.curve[1].round, 2u);
+  EXPECT_DOUBLE_EQ(r.curve[1].full_acc, 0.5);
+}
+
+TEST(AsyncEngine, EmptySelectionEndsRunWithOneWindowAndFinalPoint) {
+  MockPolicy policy(4);
+  policy.stop_selection_ = true;
+  auto fleet = mock_fleet(4, 1000, 1.0);
+  RunResult r = run_async(mock_config(2, 4), fleet, policy);
+
+  // Nothing in flight and nothing dispatchable: the run ends without a
+  // flush, closing its one open window and evaluating the final global.
+  EXPECT_EQ(r.failed_trainings, 0u);
+  EXPECT_EQ(r.comm.params_sent(), 0u);
+  const std::vector<std::string> want = {"init"};
+  EXPECT_EQ(policy.log_, want);
+  ASSERT_EQ(r.round_metrics.size(), 1u);
+  EXPECT_EQ(r.round_metrics[0].round, 1u);
+  ASSERT_EQ(r.curve.size(), 1u);
+  EXPECT_EQ(r.curve[0].round, 2u);
+}
+
+TEST(AsyncEngine, EvalEveryZeroStillProducesFinalPoint) {
+  MockPolicy policy(2);
+  auto fleet = mock_fleet(2, 1000, 1.0);
+  FlRunConfig cfg = mock_config(3, 2);
+  cfg.eval_every = 0;
+  RunResult r = run_async(cfg, fleet, policy);
+
+  std::vector<std::string> aggregates;
+  for (const std::string& s : policy.log_) {
+    if (s.rfind("aggregate:", 0) == 0) aggregates.push_back(s);
+  }
+  const std::vector<std::string> want = {"aggregate:1", "aggregate:2", "aggregate:3"};
+  EXPECT_EQ(aggregates, want);
+  EXPECT_EQ(r.round_metrics.size(), 3u);
+  ASSERT_EQ(r.curve.size(), 1u);
+  EXPECT_EQ(r.curve[0].round, 3u);
+}
+
+TEST(AsyncEngine, UnavailableFleetClosesEmptyWindows) {
+  // Nobody ever replies, so no window can fill its buffer. Each closes empty
+  // once `concurrency` of its dispatches have failed: the run ends after its
+  // flushes instead of redispatching forever.
+  MockPolicy policy(12);
+  auto fleet = mock_fleet(12, 1000, 0.0);
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  async::AsyncEngine engine(mock_config(3, 4), acfg, &fleet);
+  const std::size_t concurrency = engine.async_config().concurrency;
+  ASSERT_EQ(concurrency, 8u);  // 2 x the buffer of clients_per_round
+  RunResult r = engine.run(policy);
+
+  ASSERT_EQ(r.round_metrics.size(), 3u);
+  for (const RoundMetrics& m : r.round_metrics) {
+    EXPECT_EQ(m.clients_ok, 0u);
+    EXPECT_EQ(m.clients_failed, concurrency);
+  }
+  EXPECT_EQ(r.failed_trainings, 3 * concurrency);
+  EXPECT_EQ(policy.executions_.load(), 0u);
+  EXPECT_EQ(r.comm.params_returned(), 0u);
+  ASSERT_EQ(r.curve.size(), 3u);
+  EXPECT_EQ(r.curve.back().round, 3u);
+}
+
+TEST(AsyncEngine, PartlyAvailableFleetFillsEveryWindow) {
+  // Half the dispatches fail and are booked after the 0.5 s failure timeout,
+  // while an accepted one uploads only after 6 s of compute: the run books
+  // more than `concurrency` failures per window, many while a window's
+  // buffer is still empty. An update can still arrive, so the stop rule
+  // closes no window early and each waits for a full buffer.
+  for (const std::size_t buffer : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("buffer " + std::to_string(buffer));
+    MockPolicy policy(12);
+    auto fleet = mock_fleet(12, 1000, 0.5);
+    FlRunConfig cfg = mock_config(6, 4);
+    cfg.net = net::NetConfig{};
+    cfg.net->enabled = true;
+    cfg.net->compute_s_per_kparam = 100.0;  // 60 trained scalars: 6 s
+    async::AsyncConfig acfg;
+    acfg.enabled = true;
+    acfg.buffer_size = buffer;  // 0: clients_per_round, concurrency 8
+    async::AsyncEngine engine(cfg, acfg, &fleet);
+    RunResult r = engine.run(policy);
+
+    EXPECT_GT(r.failed_trainings, 6 * engine.async_config().concurrency);
+    ASSERT_EQ(r.round_metrics.size(), 6u);
+    for (const RoundMetrics& m : r.round_metrics) {
+      EXPECT_EQ(m.clients_ok, engine.async_config().buffer_size);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // RoundEngine + simulated transport
 // ---------------------------------------------------------------------------
 
@@ -480,7 +613,7 @@ enum class Failure { kNoResponse, kAdaptFailure, kDownlinkDrop, kUplinkDrop };
 
 /// Fails client 1 of a 3-client fleet one way and runs one round (or one
 /// async flush). Only the targeted client fails: with every device
-/// unavailable the async engine would never fill its buffer.
+/// unavailable the async flush would close empty, with no commits to count.
 RunResult run_failing_client(Failure failure, bool async_engine, MockPolicy& policy) {
   auto fleet = mock_fleet(3, 1000, 1.0);
   FlRunConfig cfg = mock_config(1, 3);

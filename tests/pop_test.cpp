@@ -102,7 +102,9 @@ TEST(Population, DarkBlocksFollowProbability) {
 class ScriptedTraceTest : public ::testing::Test {
  protected:
   void write_trace(const std::string& body) {
-    path_ = ::testing::TempDir() + "pop_trace.txt";
+    // One file per case: ctest runs the cases as concurrent processes.
+    path_ = ::testing::TempDir() + "pop_trace_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
     std::ofstream out(path_);
     out << body;
   }
