@@ -13,6 +13,7 @@
 #include "engine/dispatch.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
+#include "hier/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
@@ -102,8 +103,6 @@ void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
   p.accepted = r.u64() != 0;
   p.trained = r.u64() != 0;
   p.fail = engine::decode_failure(r.u64());
-  p.sess.set_lifecycle_tags(static_cast<long long>(p.id), -1,
-                            static_cast<long long>(p.version));
   if (r.u64() != 0) {
     p.rx = std::make_unique<ParamSet>(r.params());
     p.slot.rx = p.rx.get();
@@ -123,9 +122,8 @@ void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
 }  // namespace
 
 AsyncEngine::AsyncEngine(const FlRunConfig& config, AsyncConfig async,
-                         const std::vector<DeviceSim>* devices,
-                         const pop::Population* population)
-    : EngineBase(config, devices, population), async_(async) {
+                         const std::vector<DeviceSim>* devices)
+    : EngineBase(config, devices), async_(async) {
   if (async_.buffer_size == 0) async_.buffer_size = config_.clients_per_round;
   if (async_.buffer_size == 0) async_.buffer_size = 1;
   if (async_.concurrency == 0) async_.concurrency = 2 * async_.buffer_size;
@@ -280,7 +278,8 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
   };
 
   // One buffer flush: aggregate, bump the global version, close the window
-  // (evaluating when due) and open the next one.
+  // (evaluating when due) and, unless the run stops after it, open the next.
+  bool stopped = false;  // close_window() reported stop-after
   auto do_flush = [&]() {
     AFL_PROF_SPAN("async.flush");
     ++flushes;
@@ -298,25 +297,32 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     // buffer_wait runs from each arrival to here.
     core.lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
                                  static_cast<long long>(new_version));
-    if (!core.close_window(flushes, /*sync=*/true, clock.now() - core.sim_time,
-                           clock.now()) &&
-        flushes < config_.rounds) {
-      core.open_window(flushes + 1);
-    }
+    stopped = core.close_window(flushes, /*sync=*/true, clock.now() - core.sim_time,
+                                clock.now());
+    if (!stopped && flushes < config_.rounds) core.open_window(flushes + 1);
   };
 
   // Whether the open window can gain no update: nothing accepted is in
-  // flight and no device can answer in it, so every admission fails.
+  // flight and no device can answer in it (present, with a nonzero
+  // availability and, with a transport, a channel that can deliver a frame),
+  // so every admission fails.
   auto stuck = [&]() {
-    return devices_ != nullptr &&
-           std::none_of(pending.begin(), pending.end(),
-                        [](const auto& kv) { return kv.second.accepted; }) &&
-           std::none_of(devices_->begin(), devices_->end(),
-                        [&](const DeviceSim& d) { return d.can_respond(flushes + 1); });
+    if (devices_ == nullptr) return false;
+    for (const auto& [id, p] : pending) {
+      if (p.accepted) return false;
+    }
+    for (std::size_t c = 0; c < devices_->size(); ++c) {
+      if ((*devices_)[c].availability > 0.0 &&
+          (population_ == nullptr ||
+           population_->state(c, flushes + 1) == pop::Presence::kPresent) &&
+          (!transport_.enabled() || transport_.channel_for(c).loss_prob < 1.0)) {
+        return false;
+      }
+    }
+    return true;
   };
 
-  while (flushes < config_.rounds) {
-    if (core.snap.stop_after(flushes)) return core.finish(flushes);  // killed at flush k
+  while (!stopped && flushes < config_.rounds) {
     top_up();
     if (queue.empty()) {
       // Nothing in flight and nothing dispatchable. Flush what the buffer
@@ -381,7 +387,29 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     occupancy_hist.record(static_cast<double>(agg.buffered()));
     if (agg.full()) do_flush();
   }
-  return core.end();
+  return stopped ? core.finish(flushes) : core.end();
 }
 
 }  // namespace afl::async
+
+namespace afl {
+
+RunResult run_policy(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
+                     RoundPolicy& policy) {
+  const async::AsyncConfig async =
+      config.async ? *config.async : async::AsyncConfig::from_env();
+  if (!async.enabled) return RoundEngine(config, devices).run(policy);
+  auto* async_policy = dynamic_cast<AsyncRoundPolicy*>(&policy);
+  if (async_policy == nullptr) {
+    throw std::invalid_argument(policy.algorithm_name() +
+                                " cannot run asynchronously: it does not implement "
+                                "AsyncRoundPolicy");
+  }
+  if ((config.hier ? *config.hier : hier::HierConfig::from_env()).enabled) {
+    throw std::invalid_argument(policy.algorithm_name() +
+                                ": async and hierarchical execution are mutually exclusive");
+  }
+  return async::AsyncEngine(config, async, devices).run(*async_policy);
+}
+
+}  // namespace afl

@@ -27,8 +27,20 @@
 #include "async/config.hpp"
 #include "engine/round_engine.hpp"
 #include "engine/run.hpp"
-#include "pop/population.hpp"
 #include "sim/device.hpp"
+
+namespace afl {
+
+/// Runs `policy` on the engine config.async selects (config.async or the
+/// AFL_ASYNC_* environment): the AsyncEngine when enabled, else the
+/// RoundEngine, flat or sharded as config.hier selects. `devices` as in
+/// engine::EngineBase. Throws std::invalid_argument naming the algorithm
+/// when an async run's policy is not an AsyncRoundPolicy, or when async and
+/// hierarchical execution are both enabled.
+RunResult run_policy(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
+                     RoundPolicy& policy);
+
+}  // namespace afl
 
 namespace afl::async {
 
@@ -36,11 +48,10 @@ class AsyncEngine : public engine::EngineBase {
  public:
   /// `async.enabled` is assumed; zero-valued knobs resolve against the run
   /// config (buffer_size -> clients_per_round, concurrency -> 2 * buffer,
-  /// capped at the fleet size). `devices` and `population` as in
-  /// engine::EngineBase; churn presence is keyed by the flush window.
+  /// capped at the fleet size). `devices` as in engine::EngineBase; churn
+  /// presence is keyed by the flush window.
   AsyncEngine(const FlRunConfig& config, AsyncConfig async,
-              const std::vector<DeviceSim>* devices,
-              const pop::Population* population = nullptr);
+              const std::vector<DeviceSim>* devices);
 
   RunResult run(AsyncRoundPolicy& policy);
 

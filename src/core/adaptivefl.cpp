@@ -1,17 +1,13 @@
 #include "core/adaptivefl.hpp"
 
 #include <array>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "async/engine.hpp"
-#include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
-#include "hier/config.hpp"
 #include "nn/init.hpp"
-#include "pop/population.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -51,6 +47,11 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     if (has_initial_) return;
     Model full_model = build_full_model(spec_, &rng);
     global_ = full_model.export_params();
+  }
+
+  void observe_channels(const std::vector<double>& quality) override {
+    // Per-client channel quality is an RL selector observation feature.
+    selector_.set_channel_quality(quality);
   }
 
   void begin_round(std::size_t, Rng&) override {
@@ -246,12 +247,12 @@ void AdaptiveFl::set_initial_params(ParamSet params) {
 }
 
 AdaptiveFl::AdaptiveFl(const ArchSpec& spec, const PoolConfig& pool_config,
-                       const FederatedDataset& data, std::vector<DeviceSim> devices,
+                       const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                        FlRunConfig run_config, AdaptiveFlOptions options)
     : spec_(spec),
       pool_(spec, pool_config),
       data_(data),
-      devices_(std::move(devices)),
+      devices_(devices),
       config_(run_config),
       options_(options),
       selector_(pool_, data.num_clients(), options.strategy) {
@@ -263,38 +264,7 @@ AdaptiveFl::AdaptiveFl(const ArchSpec& spec, const PoolConfig& pool_config,
 RunResult AdaptiveFl::run() {
   AdaptiveFlPolicy policy(spec_, pool_, data_, config_, options_, selector_, global_,
                           has_initial_);
-  // Population dynamics (src/pop/, docs/POPULATION.md): churn schedules
-  // attach to the device fleet, per-client channel profiles install into the
-  // engine's transport, and the sampled channel quality becomes an RL
-  // selector observation feature. A null population is a static fleet and
-  // leaves every engine path byte-identical.
-  const pop::PopConfig pop_cfg =
-      config_.pop ? *config_.pop : pop::PopConfig::from_env();
-  std::unique_ptr<pop::Population> population =
-      pop::Population::create(pop_cfg, data_.num_clients(), config_.seed);
-  if (population) {
-    population->attach(devices_);
-    if (pop_cfg.channels) {
-      const net::NetConfig net_cfg =
-          config_.net ? *config_.net : net::NetConfig::from_env();
-      population->sample_channels(net_cfg.channel);
-      selector_.set_channel_quality(population->channel_quality());
-    }
-  }
-  const async::AsyncConfig async_cfg =
-      config_.async ? *config_.async : async::AsyncConfig::from_env();
-  const hier::HierConfig hier_cfg =
-      config_.hier ? *config_.hier : hier::HierConfig::from_env();
-  if (async_cfg.enabled && hier_cfg.enabled) {
-    throw std::invalid_argument(
-        "AdaptiveFl: async and hierarchical execution are mutually exclusive");
-  }
-  if (async_cfg.enabled) {
-    async::AsyncEngine engine(config_, async_cfg, &devices_, population.get());
-    return engine.run(policy);
-  }
-  RoundEngine engine(config_, &devices_, population.get(), hier_cfg);
-  return engine.run(policy);
+  return run_policy(config_, &devices_, policy);
 }
 
 }  // namespace afl

@@ -26,10 +26,12 @@ struct AdaptiveFlOptions {
 
 class AdaptiveFl {
  public:
+  /// `data` and `devices` are held by reference and must outlive the object.
   AdaptiveFl(const ArchSpec& spec, const PoolConfig& pool_config,
-             const FederatedDataset& data, std::vector<DeviceSim> devices,
+             const FederatedDataset& data, const std::vector<DeviceSim>& devices,
              FlRunConfig run_config, AdaptiveFlOptions options = {});
 
+  /// Runs on the engine config.async and config.hier select (run_policy()).
   RunResult run();
 
   /// Warm start: seeds the global model from `params` (e.g. a checkpoint)
@@ -46,7 +48,7 @@ class AdaptiveFl {
   ArchSpec spec_;
   ModelPool pool_;
   const FederatedDataset& data_;
-  std::vector<DeviceSim> devices_;
+  const std::vector<DeviceSim>& devices_;
   FlRunConfig config_;
   AdaptiveFlOptions options_;
   ClientSelector selector_;

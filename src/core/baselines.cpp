@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "arch/stats.hpp"
+#include "async/engine.hpp"
 #include "core/cohort_policy.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
@@ -218,17 +219,16 @@ AllLarge::AllLarge(const ArchSpec& spec, const FederatedDataset& data,
 
 RunResult AllLarge::run() {
   AllLargePolicy policy(spec_, data_, config_);
-  RoundEngine engine(config_, /*devices=*/nullptr);
-  return engine.run(policy);
+  return run_policy(config_, /*devices=*/nullptr, policy);
 }
 
 Decoupled::Decoupled(const ArchSpec& spec, const PoolConfig& pool_config,
-                     const FederatedDataset& data, std::vector<DeviceSim> devices,
+                     const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                      FlRunConfig run_config)
     : spec_(spec),
       pool_(spec, pool_config),
       data_(data),
-      devices_(std::move(devices)),
+      devices_(devices),
       config_(run_config) {
   if (devices_.size() != data_.num_clients()) {
     throw std::invalid_argument("Decoupled: one device profile per client required");
@@ -237,14 +237,13 @@ Decoupled::Decoupled(const ArchSpec& spec, const PoolConfig& pool_config,
 
 RunResult Decoupled::run() {
   DecoupledPolicy policy(spec_, pool_, data_, config_);
-  RoundEngine engine(config_, &devices_);
-  return engine.run(policy);
+  return run_policy(config_, &devices_, policy);
 }
 
 HeteroFl::HeteroFl(const ArchSpec& spec, const PoolConfig& pool_config,
-                   const FederatedDataset& data, std::vector<DeviceSim> devices,
+                   const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                    FlRunConfig run_config)
-    : spec_(spec), data_(data), devices_(std::move(devices)), config_(run_config) {
+    : spec_(spec), data_(data), devices_(devices), config_(run_config) {
   if (devices_.size() != data_.num_clients()) {
     throw std::invalid_argument("HeteroFl: one device profile per client required");
   }
@@ -262,8 +261,7 @@ HeteroFl::HeteroFl(const ArchSpec& spec, const PoolConfig& pool_config,
 RunResult HeteroFl::run() {
   HeteroFlPolicy policy(spec_, data_, config_, level_plans_, level_labels_,
                         level_params_);
-  RoundEngine engine(config_, &devices_);
-  return engine.run(policy);
+  return run_policy(config_, &devices_, policy);
 }
 
 }  // namespace afl

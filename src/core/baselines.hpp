@@ -31,7 +31,7 @@ class Decoupled {
   /// Uses the pool's level heads (L1/M1/S1 plans) as the three independent
   /// model families, and the devices' capacities to pick a family per client.
   Decoupled(const ArchSpec& spec, const PoolConfig& pool_config,
-            const FederatedDataset& data, std::vector<DeviceSim> devices,
+            const FederatedDataset& data, const std::vector<DeviceSim>& devices,
             FlRunConfig run_config);
   RunResult run();
 
@@ -39,7 +39,7 @@ class Decoupled {
   ArchSpec spec_;
   ModelPool pool_;
   const FederatedDataset& data_;
-  std::vector<DeviceSim> devices_;
+  const std::vector<DeviceSim>& devices_;
   FlRunConfig config_;
 };
 
@@ -48,14 +48,14 @@ class HeteroFl {
   /// Width ratios follow the pool's level ratios (1.0 / r_medium / r_small)
   /// but applied uniformly from the first layer (the coarse scheme).
   HeteroFl(const ArchSpec& spec, const PoolConfig& pool_config,
-           const FederatedDataset& data, std::vector<DeviceSim> devices,
+           const FederatedDataset& data, const std::vector<DeviceSim>& devices,
            FlRunConfig run_config);
   RunResult run();
 
  private:
   ArchSpec spec_;
   const FederatedDataset& data_;
-  std::vector<DeviceSim> devices_;
+  const std::vector<DeviceSim>& devices_;
   FlRunConfig config_;
   std::vector<WidthPlan> level_plans_;      // descending size: full, medium, small
   std::vector<std::string> level_labels_;   // "1.00x", "0.66x", "0.40x"

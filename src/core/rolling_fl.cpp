@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "arch/stats.hpp"
+#include "async/engine.hpp"
 #include "core/cohort_policy.hpp"
 #include "prune/rolling.hpp"
 
@@ -86,9 +87,9 @@ class RollingFlPolicy final : public CohortPolicy {
 }  // namespace
 
 RollingFl::RollingFl(const ArchSpec& spec, const PoolConfig& pool_config,
-                     const FederatedDataset& data, std::vector<DeviceSim> devices,
+                     const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                      FlRunConfig run_config)
-    : spec_(spec), data_(data), devices_(std::move(devices)), config_(run_config) {
+    : spec_(spec), data_(data), devices_(devices), config_(run_config) {
   if (devices_.size() != data_.num_clients()) {
     throw std::invalid_argument("RollingFl: one device profile per client required");
   }
@@ -100,8 +101,7 @@ RollingFl::RollingFl(const ArchSpec& spec, const PoolConfig& pool_config,
 
 RunResult RollingFl::run() {
   RollingFlPolicy policy(spec_, data_, config_, level_ratios_, level_params_);
-  RoundEngine engine(config_, &devices_);
-  return engine.run(policy);
+  return run_policy(config_, &devices_, policy);
 }
 
 }  // namespace afl

@@ -13,7 +13,7 @@ namespace afl {
 class RollingFl {
  public:
   RollingFl(const ArchSpec& spec, const PoolConfig& pool_config,
-            const FederatedDataset& data, std::vector<DeviceSim> devices,
+            const FederatedDataset& data, const std::vector<DeviceSim>& devices,
             FlRunConfig run_config);
 
   RunResult run();
@@ -21,7 +21,7 @@ class RollingFl {
  private:
   ArchSpec spec_;
   const FederatedDataset& data_;
-  std::vector<DeviceSim> devices_;
+  const std::vector<DeviceSim>& devices_;
   FlRunConfig config_;
   std::vector<double> level_ratios_;        // 1.0 / r_medium / r_small
   std::vector<std::size_t> level_params_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "async/engine.hpp"
 #include "core/cohort_policy.hpp"
 #include "fl/aggregate.hpp"
 #include "prune/width_prune.hpp"
@@ -109,11 +110,11 @@ class ScaleFlPolicy final : public CohortPolicy {
 }  // namespace
 
 ScaleFl::ScaleFl(const ArchSpec& spec, const std::vector<std::size_t>& capacity_budgets,
-                 const FederatedDataset& data, std::vector<DeviceSim> devices,
+                 const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                  FlRunConfig run_config, double distill_weight)
     : spec_(spec),
       data_(data),
-      devices_(std::move(devices)),
+      devices_(devices),
       config_(run_config),
       distill_weight_(distill_weight) {
   if (devices_.size() != data_.num_clients()) {
@@ -173,8 +174,7 @@ ScaleFl::ScaleFl(const ArchSpec& spec, const std::vector<std::size_t>& capacity_
 
 RunResult ScaleFl::run() {
   ScaleFlPolicy policy(spec_, data_, config_, global_options_, levels_, distill_weight_);
-  RoundEngine engine(config_, &devices_);
-  return engine.run(policy);
+  return run_policy(config_, &devices_, policy);
 }
 
 }  // namespace afl

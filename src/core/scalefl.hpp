@@ -28,7 +28,7 @@ class ScaleFl {
   /// (strong / medium / weak). Width ratios are fitted per level so the
   /// submodel (with its exit heads) fits the budget.
   ScaleFl(const ArchSpec& spec, const std::vector<std::size_t>& capacity_budgets,
-          const FederatedDataset& data, std::vector<DeviceSim> devices,
+          const FederatedDataset& data, const std::vector<DeviceSim>& devices,
           FlRunConfig run_config, double distill_weight = 1.0);
 
   RunResult run();
@@ -38,7 +38,7 @@ class ScaleFl {
  private:
   ArchSpec spec_;
   const FederatedDataset& data_;
-  std::vector<DeviceSim> devices_;
+  const std::vector<DeviceSim>& devices_;
   FlRunConfig config_;
   double distill_weight_;
   std::vector<ScaleFlLevel> levels_;  // descending size; [0] is the full model

@@ -79,21 +79,22 @@ Admission Dispatcher::admit(Dispatch& d, Rng& rng, std::size_t presence_round) {
   // anything about the device, so it is recorded up front and becomes pure
   // waste on every failure below.
   result.comm.record_dispatch(s.params_sent);
-  const long long version = static_cast<long long>(d.version);
-  lifecycle.begin(d.id, s.round, s.client, d.base, d.shard, version);
+  lifecycle.begin(d.id, s.round, s.client, d.base, d.shard,
+                  static_cast<long long>(d.version));
   Admission a{std::nullopt, d.base};
   if (devices != nullptr) {
     // Population churn (docs/POPULATION.md): a departed or dark client is
     // dispatched to but never replies, and draws nothing from the RNG, so
     // churn never shifts the streams of the clients that are present.
-    const DeviceSim& device = (*devices)[s.client];
-    const PresenceSchedule::State presence = device.presence_state(presence_round);
-    if (presence == PresenceSchedule::State::kAbsent) {
+    const pop::Presence presence = population == nullptr
+                                       ? pop::Presence::kPresent
+                                       : population->state(s.client, presence_round);
+    if (presence == pop::Presence::kAbsent) {
       compressor.on_departed(s.client);
       a.failure = DispatchFailure::kDeparted;
-    } else if (presence == PresenceSchedule::State::kDark) {
+    } else if (presence == pop::Presence::kDark) {
       a.failure = DispatchFailure::kWentDark;
-    } else if (!device.responds(rng)) {
+    } else if (!(*devices)[s.client].responds(rng)) {
       a.failure = DispatchFailure::kNoResponse;
     }
   }
@@ -102,8 +103,6 @@ Admission Dispatcher::admit(Dispatch& d, Rng& rng, std::size_t presence_round) {
   if (transport.enabled()) {
     // Downlink; a frame lost after all retransmissions fails the dispatch.
     d.sess = transport.session(s.round, s.client);
-    d.sess.set_lifecycle_tags(lifecycle.active() ? static_cast<long long>(d.id) : -1,
-                              d.shard, version);
     net::Delivery down =
         transport.send(d.sess, net::FrameKind::kDispatch, policy.dispatch_params(s));
     record_transfer(result.comm, down.transfer, /*uplink=*/false);

@@ -20,6 +20,7 @@
 #include "engine/run.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
+#include "pop/population.hpp"
 #include "sim/device.hpp"
 #include "util/rng.hpp"
 
@@ -89,6 +90,7 @@ struct Dispatcher {
   const char* engine;  // names the caller in error messages
   RoundPolicy& policy;
   const std::vector<DeviceSim>* devices;
+  const pop::Population* population;  // null: every client always present
   const net::Transport& transport;
   compress::Compressor& compressor;
   LifecycleTracker& lifecycle;

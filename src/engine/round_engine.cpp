@@ -11,6 +11,7 @@
 #include "engine/dispatch.hpp"
 #include "engine/telemetry.hpp"
 #include "fl/shard_aggregator.hpp"
+#include "hier/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
@@ -88,27 +89,30 @@ TrainOutcome train_client(Model model, ParamSet view, const FederatedDataset& da
 }
 
 engine::EngineBase::EngineBase(const FlRunConfig& config,
-                               const std::vector<DeviceSim>* devices,
-                               const pop::Population* population)
+                               const std::vector<DeviceSim>* devices)
     : config_(config),
       devices_(devices),
-      population_(population),
       threads_(config.threads > 0 ? config.threads : ThreadPool::threads_from_env()),
       transport_(config.net ? *config.net : net::NetConfig::from_env(), config.seed) {
-  if (population_ != nullptr && population_->has_channels()) {
-    transport_.set_client_channels(population_->channels());
-  }
+  // Churn and per-client channels act on a fleet: a run without one (the
+  // idealized All-Large) keeps its static, ideal devices.
+  if (devices_ == nullptr) return;
+  population_ = pop::Population::create(config.pop ? *config.pop : pop::PopConfig::from_env(),
+                                        devices_->size(), config.seed);
+  if (population_ == nullptr || !population_->config().channels) return;
+  population_->sample_channels(transport_.config().channel);
+  transport_.set_client_channels(population_->channels());
 }
 
-RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-                         const pop::Population* population,
-                         const hier::HierConfig& hier)
-    : EngineBase(config, devices, population),
-      sharded_(hier.enabled),
-      // A disabled config still carries the default shard count: flat is
-      // one shard, merged every round.
-      shards_(hier.enabled ? std::max<std::size_t>(hier.shards, 1) : 1),
-      sync_every_(hier.enabled ? std::max<std::size_t>(hier.sync_every, 1) : 1) {}
+RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices)
+    : EngineBase(config, devices) {
+  const hier::HierConfig sharding = config.hier ? *config.hier : hier::HierConfig::from_env();
+  sharded_ = sharding.enabled;
+  // A disabled config still carries the default shard count: flat is one
+  // shard, merged every round.
+  shards_ = sharded_ ? std::max<std::size_t>(sharding.shards, 1) : 1;
+  sync_every_ = sharded_ ? std::max<std::size_t>(sharding.sync_every, 1) : 1;
+}
 
 RunResult RoundEngine::run(RoundPolicy& policy) {
   HierRoundPolicy* hier_policy = nullptr;

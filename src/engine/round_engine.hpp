@@ -36,6 +36,7 @@
 // without one.
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -44,7 +45,6 @@
 #include "data/federated.hpp"
 #include "engine/run.hpp"
 #include "fl/local_train.hpp"
-#include "hier/config.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/param.hpp"
@@ -111,6 +111,11 @@ class RoundPolicy {
 
   /// Builds / seeds the global model; first consumer of the run's root RNG.
   virtual void init_global(Rng& rng) = 0;
+
+  /// Called before init_global() when the run's population samples
+  /// per-client channels (docs/POPULATION.md) with each client's channel
+  /// quality in (0, 1]. AdaptiveFL's selector takes it as an observation.
+  virtual void observe_channels(const std::vector<double>& quality) { (void)quality; }
 
   /// Round setup: cohort sampling, clearing per-round scratch state.
   virtual void begin_round(std::size_t round, Rng& rng) {
@@ -247,14 +252,13 @@ namespace engine {
 class RunCore;
 
 /// What both engines resolve at construction (docs/ENGINE.md, "One run
-/// core"): the worker count (config.threads or AFL_THREADS) and the simulated
+/// core"): the worker count (config.threads or AFL_THREADS), the simulated
 /// transport (config.net or the AFL_NET_* environment; disabled by default —
-/// the identity path). `devices` may be null for idealized baselines (always
-/// responsive, unlimited capacity); otherwise it must hold one profile per
-/// client and outlive the engine. `population` (optional, not owned)
-/// supplies churn telemetry and per-client channel profiles
-/// (docs/POPULATION.md); churn presence itself reaches the engine through
-/// the devices' presence pointers.
+/// the identity path) and, for a fleet, the population (config.pop or the
+/// AFL_POP_* environment; docs/POPULATION.md), whose per-client channels the
+/// transport takes. `devices` may be null for idealized baselines (always
+/// responsive, unlimited capacity, no population); otherwise it must hold
+/// one profile per client and outlive the engine.
 class EngineBase {
  public:
   /// Worker threads the engine resolved.
@@ -265,35 +269,32 @@ class EngineBase {
 
  protected:
   friend class RunCore;
-  EngineBase(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-             const pop::Population* population);
+  EngineBase(const FlRunConfig& config, const std::vector<DeviceSim>* devices);
 
   FlRunConfig config_;
   const std::vector<DeviceSim>* devices_;
-  const pop::Population* population_;
   std::size_t threads_;
   net::Transport transport_;
+  std::unique_ptr<pop::Population> population_;  // null: a static fleet
 };
 
 }  // namespace engine
 
-/// Drives a RoundPolicy through config.rounds rounds; `devices` and
-/// `population` as in engine::EngineBase.
+/// Drives a RoundPolicy through config.rounds rounds; `devices` as in
+/// engine::EngineBase.
 ///
-/// Sharded mode (docs/HIERARCHY.md): an enabled `hier` config partitions the
-/// clients across `shards` edge aggregators by client_id % shards. Each edge
-/// folds its partition's updates into a mergeable coverage-mass partial
-/// (fl/shard_aggregator.hpp) on its own simulated clock; every `sync_every`
-/// rounds the partials merge exactly into the new global model. A flat run
-/// (the default, disabled config) is the one-shard case: one clock, no shard
-/// tags, and aggregation through the policy's own commit()/aggregate(). With
-/// sync_every == 1 a sharded run is bit-identical to the flat run for any
-/// shard count and any AFL_THREADS.
+/// Sharded mode (docs/HIERARCHY.md): an enabled hier config (config.hier or
+/// the AFL_HIER_* environment) partitions the clients across `shards` edge
+/// aggregators by client_id % shards. Each edge folds its partition's updates
+/// into a mergeable coverage-mass partial (fl/shard_aggregator.hpp) on its
+/// own simulated clock; every `sync_every` rounds the partials merge exactly
+/// into the new global model. A flat run (the default, disabled config) is
+/// the one-shard case: one clock, no shard tags, and aggregation through the
+/// policy's own commit()/aggregate(). With sync_every == 1 a sharded run is
+/// bit-identical to the flat run for any shard count and any AFL_THREADS.
 class RoundEngine : public engine::EngineBase {
  public:
-  RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-              const pop::Population* population = nullptr,
-              const hier::HierConfig& hier = {});
+  RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices);
 
   /// Throws std::invalid_argument when the config is sharded and `policy` is
   /// not a HierRoundPolicy.

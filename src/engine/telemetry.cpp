@@ -111,8 +111,8 @@ RunCore::RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
       // top-k; disabled it is a pure no-op and runs stay byte-identical.
       compressor(engine.transport_, compress::CompressConfig::from_env()),
       dispatcher{mode == RunMode::kAsync ? "AsyncEngine" : "RoundEngine",
-                 policy, engine.devices_, engine.transport_, compressor,
-                 lifecycle, result, telemetry},
+                 policy, engine.devices_, engine.population_.get(), engine.transport_,
+                 compressor, lifecycle, result, telemetry},
       snap(SnapshotPlan::resolve(engine.config_)),
       engine_(engine),
       policy_(policy),
@@ -122,9 +122,12 @@ RunCore::RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
   obs::ensure_default_http_server();
   trace_run_start(result, engine.config_, engine.threads_, engine.transport_,
                   hier ? "hier" : mode == RunMode::kAsync ? "async" : nullptr,
-                  hier ? shards : 0, hier ? sync_every : 0, engine.population_);
+                  hier ? shards : 0, hier ? sync_every : 0, engine.population_.get());
   publish(0, 0.0, /*active=*/true);
   obs::metrics().gauge("afl.engine.pool.threads").set(static_cast<double>(pool.size()));
+  if (engine.population_ != nullptr && engine.population_->has_channels()) {
+    policy.observe_channels(engine.population_->channel_quality());
+  }
   policy.init_global(rng);
 }
 

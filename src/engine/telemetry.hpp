@@ -33,8 +33,9 @@ class RunCore {
  public:
   /// Run start: the HTTP server, the run_start record (`shards` and
   /// `sync_every` are kHier's topology columns), the first status, the pool,
-  /// the root RNG and policy.init_global(), the lifecycle tracker (active
-  /// when the run models time), the compressor and the dispatcher.
+  /// the sampled channel quality to policy.observe_channels(), the root RNG
+  /// and policy.init_global(), the lifecycle tracker (active when the run
+  /// models time), the compressor and the dispatcher.
   RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
           std::size_t shards = 0, std::size_t sync_every = 0);
 
@@ -52,7 +53,7 @@ class RunCore {
   std::size_t resume();
 
   /// Opens window `round` (a round, or an async flush window): its telemetry
-  /// and, with a population attached, its `churn` record.
+  /// and, with a population, its `churn` record.
   void open_window(std::size_t round);
 
   /// Closes window `round` after its aggregation: end_round(); the simulated

@@ -2,8 +2,8 @@
 // Configuration of sharded (hierarchical multi-aggregator) rounds of the
 // RoundEngine (engine/round_engine.hpp, docs/HIERARCHY.md). Standalone header
 // (no library dependencies beyond the standard library) so FlRunConfig can
-// embed it without afl_engine linking against afl_hier; from_env() lives in
-// src/hier/config.cpp.
+// embed it; from_env() lives in src/hier/config.cpp, which afl_engine links
+// because the RoundEngine resolves the config itself.
 //
 // A sharded run partitions the client population across `shards` edge
 // aggregators. Each edge folds its partition's updates into a mergeable

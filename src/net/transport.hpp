@@ -156,20 +156,6 @@ class Transport {
     std::size_t round() const { return round_; }
     std::size_t client() const { return client_; }
 
-    /// Lifecycle tags carried alongside the channel state so causality
-    /// survives retransmits: the dispatch id, shard, and model version a
-    /// frame belongs to stay attached to the session across every retry
-    /// (docs/OBSERVABILITY.md, afl.trace.v2). -1 = untagged.
-    void set_lifecycle_tags(long long dispatch_id, int shard,
-                            long long version) {
-      dispatch_id_ = dispatch_id;
-      shard_ = shard;
-      version_ = version;
-    }
-    long long dispatch_id() const { return dispatch_id_; }
-    int shard() const { return shard_; }
-    long long version() const { return version_; }
-
     /// Snapshot accessors (docs/POPULATION.md): the channel RNG position and
     /// identity of an in-flight session, so async dispatches survive engine
     /// snapshot/resume mid-transfer with bit-identical draws.
@@ -188,9 +174,6 @@ class Transport {
     Rng rng_{0};
     std::size_t round_ = 0;
     std::size_t client_ = 0;
-    long long dispatch_id_ = -1;
-    int shard_ = -1;
-    long long version_ = -1;
     ClientClock clock_;
   };
 
@@ -204,7 +187,6 @@ class Transport {
   void set_client_channels(std::vector<ChannelConfig> channels) {
     client_channels_ = std::move(channels);
   }
-  bool has_client_channels() const { return !client_channels_.empty(); }
   const ChannelConfig& channel_for(std::size_t client) const {
     return client < client_channels_.size() ? client_channels_[client]
                                             : config_.channel;

@@ -26,10 +26,6 @@ std::uint32_t get_u32_le(const std::uint8_t* p) {
 
 }  // namespace
 
-const char* frame_kind_name(FrameKind kind) {
-  return kind == FrameKind::kDispatch ? "dispatch" : "return";
-}
-
 void varint_encode(std::uint64_t v, std::vector<std::uint8_t>& out) {
   while (v >= 0x80u) {
     out.push_back(static_cast<std::uint8_t>(v) | 0x80u);

@@ -42,8 +42,6 @@ inline constexpr std::uint64_t kMaxNumel = 1ULL << 32;
 
 enum class FrameKind : std::uint8_t { kDispatch = 0, kReturn = 1 };
 
-const char* frame_kind_name(FrameKind kind);
-
 struct FrameHeader {
   FrameKind kind = FrameKind::kDispatch;
   Codec codec = Codec::kFp32;

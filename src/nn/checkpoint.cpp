@@ -58,8 +58,11 @@ ParamSet read_body(std::istream& in) {
     std::uint64_t numel = 1;
     for (std::uint64_t d = 0; d < rank; ++d) {
       shape[d] = read_u64(in);
+      // Checked before the multiply, so no product can wrap below the cap.
+      if (shape[d] != 0 && numel > kMaxNumel / shape[d]) {
+        throw std::runtime_error("checkpoint: tensor too large");
+      }
       numel *= shape[d];
-      if (numel > kMaxNumel) throw std::runtime_error("checkpoint: tensor too large");
     }
     Tensor t(shape);
     in.read(reinterpret_cast<char*>(t.data()),

@@ -17,9 +17,6 @@ class Conv2D final : public Layer {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   std::string kind() const override { return "conv2d"; }
 
-  std::size_t in_channels() const { return in_c_; }
-  std::size_t out_channels() const { return out_c_; }
-
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
 

@@ -15,8 +15,6 @@ class Linear final : public Layer {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   std::string kind() const override { return "linear"; }
 
-  std::size_t in_features() const { return in_f_; }
-  std::size_t out_features() const { return out_f_; }
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
 

@@ -38,7 +38,6 @@ class Model {
   std::size_t num_layers() const { return layers_.size(); }
   std::size_t num_exits() const { return exits_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i).layer; }
-  const std::string& layer_name(std::size_t i) const { return layers_.at(i).name; }
 
   /// Final logits. Caches activations for backward when train == true.
   Tensor forward(const Tensor& x, bool train);

@@ -39,8 +39,6 @@ class BasicBlock final : public Layer {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   std::string kind() const override { return "basic_block"; }
 
-  bool has_projection() const { return proj_ != nullptr; }
-
  private:
   std::size_t in_c_, out_c_, stride_;
   Conv2D conv1_, conv2_;
@@ -62,8 +60,6 @@ class InvertedResidualBlock final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   std::string kind() const override { return "inv_residual"; }
-
-  bool has_residual() const { return use_residual_; }
 
  private:
   std::size_t in_c_, hidden_c_, out_c_, stride_;

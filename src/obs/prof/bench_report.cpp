@@ -114,10 +114,6 @@ void BenchReport::Scoped::close() {
 
 BenchReport::Scoped::~Scoped() { close(); }
 
-void BenchReport::Scoped::set_metric(const std::string& key, double value) {
-  section_.metrics[key] = value;
-}
-
 void BenchReport::add_section(const std::string& name, double wall_seconds,
                               std::map<std::string, double> metrics) {
   BenchSection s;

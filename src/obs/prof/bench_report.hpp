@@ -74,8 +74,6 @@ class BenchReport {
     Scoped(const Scoped&) = delete;
     Scoped& operator=(const Scoped&) = delete;
 
-    /// Attach a throughput/quality metric to the section.
-    void set_metric(const std::string& key, double value);
     /// Ends the measurement early (destructor then does nothing).
     void close();
 

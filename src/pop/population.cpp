@@ -42,8 +42,6 @@ Population::Population(const PopConfig& config, std::size_t num_clients,
   for (std::size_t c = 0; c < num_clients_; ++c) {
     phase_[c] = Rng::derive(seed_ ^ kPopSeedSalt, kStreamPhase, 0, c).uniform();
   }
-  views_.resize(num_clients_);
-  for (std::size_t c = 0; c < num_clients_; ++c) views_[c].bind(this, c);
 
   if (!config_.trace_path.empty()) {
     std::ifstream in(config_.trace_path);
@@ -127,18 +125,10 @@ bool Population::dark_at(std::size_t client, std::size_t round) const {
          config_.dark_prob;
 }
 
-PresenceSchedule::State Population::state(std::size_t client,
-                                          std::size_t round) const {
-  if (!member_at(client, round)) return PresenceSchedule::State::kAbsent;
-  if (dark_at(client, round)) return PresenceSchedule::State::kDark;
-  return PresenceSchedule::State::kPresent;
-}
-
-void Population::attach(std::vector<DeviceSim>& devices) const {
-  const std::size_t n = std::min(devices.size(), views_.size());
-  for (std::size_t c = 0; c < n; ++c) {
-    devices[c].presence = &views_[c];
-  }
+Presence Population::state(std::size_t client, std::size_t round) const {
+  if (!member_at(client, round)) return Presence::kAbsent;
+  if (dark_at(client, round)) return Presence::kDark;
+  return Presence::kPresent;
 }
 
 void Population::sample_channels(const net::ChannelConfig& base) {
@@ -179,13 +169,12 @@ void Population::sample_channels(const net::ChannelConfig& base) {
 RoundChurn Population::round_churn(std::size_t round) const {
   RoundChurn churn;
   for (std::size_t c = 0; c < num_clients_; ++c) {
-    const PresenceSchedule::State now = state(c, round);
-    if (now != PresenceSchedule::State::kAbsent) ++churn.active;
-    if (now == PresenceSchedule::State::kDark) ++churn.dark;
+    const Presence now = state(c, round);
+    if (now != Presence::kAbsent) ++churn.active;
+    if (now == Presence::kDark) ++churn.dark;
     if (round > 0) {
-      const bool was_absent =
-          state(c, round - 1) == PresenceSchedule::State::kAbsent;
-      const bool is_absent = now == PresenceSchedule::State::kAbsent;
+      const bool was_absent = state(c, round - 1) == Presence::kAbsent;
+      const bool is_absent = now == Presence::kAbsent;
       if (was_absent && !is_absent) ++churn.joins;
       if (!was_absent && is_absent) ++churn.departures;
     }

@@ -2,17 +2,17 @@
 // Population dynamics: deterministic churn schedules and per-client channel
 // profiles for all three engines (docs/POPULATION.md).
 //
-// The Population owns one PresenceSchedule per client. Presence is a pure
-// function of (seed, round, client) — the parametric ring-rotation process
-// draws a fixed per-client phase from Rng::derive and shifts the active
-// window at every rotation epoch, so exactly `rotate_frac` of the active set
-// departs (and an equal-sized absent slice joins) per epoch while the active
-// population size stays constant. Go-dark stretches are i.i.d. per
-// (client, dark block) on a second derived stream. Scripted trace records
-// override the parametric process per client. Nothing here draws from any
-// engine RNG, so enabling churn never perturbs the training / selection /
-// transport streams of the clients that are present, and snapshot/resume
-// needs no churn state at all.
+// The engine owns the run's Population and asks it for each dispatched
+// client's presence. Presence is a pure function of (seed, round, client) —
+// the parametric ring-rotation process draws a fixed per-client phase from
+// Rng::derive and shifts the active window at every rotation epoch, so
+// exactly `rotate_frac` of the active set departs (and an equal-sized absent
+// slice joins) per epoch while the active population size stays constant.
+// Go-dark stretches are i.i.d. per (client, dark block) on a second derived
+// stream. Scripted trace records override the parametric process per client.
+// Nothing here draws from any engine RNG, so enabling churn never perturbs
+// the training / selection / transport streams of the clients that are
+// present, and snapshot/resume needs no churn state at all.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,9 +21,14 @@
 
 #include "net/channel.hpp"
 #include "pop/config.hpp"
-#include "sim/device.hpp"
 
 namespace afl::pop {
+
+/// A client's presence in one round: kPresent (normal behavior), kDark
+/// (temporarily unreachable: the dispatch is sent but no reply ever comes),
+/// or kAbsent (departed or not yet joined: same observable behavior,
+/// different bookkeeping).
+enum class Presence { kPresent = 0, kDark = 1, kAbsent = 2 };
 
 /// Membership deltas of one round vs. the previous one, for telemetry.
 struct RoundChurn {
@@ -46,11 +51,7 @@ class Population {
   std::size_t size() const { return num_clients_; }
 
   /// Presence of `client` at `round` (pure; thread-safe).
-  PresenceSchedule::State state(std::size_t client, std::size_t round) const;
-
-  /// Installs this population's per-client schedules into the fleet. The
-  /// Population must outlive the devices' use of them.
-  void attach(std::vector<DeviceSim>& devices) const;
+  Presence state(std::size_t client, std::size_t round) const;
 
   /// Samples per-client channel profiles around `base` (no-op container when
   /// config().channels is false). Deterministic in (seed, client).
@@ -75,22 +76,6 @@ class Population {
   bool member_at(std::size_t client, std::size_t round) const;
   bool dark_at(std::size_t client, std::size_t round) const;
 
-  /// PresenceSchedule facade over one client of this population.
-  class ClientView final : public PresenceSchedule {
-   public:
-    void bind(const Population* pop, std::size_t client) {
-      pop_ = pop;
-      client_ = client;
-    }
-    State state(std::size_t round) const override {
-      return pop_->state(client_, round);
-    }
-
-   private:
-    const Population* pop_ = nullptr;
-    std::size_t client_ = 0;
-  };
-
   /// Scripted override for one client (docs/POPULATION.md trace format).
   struct Script {
     bool used = false;
@@ -104,7 +89,6 @@ class Population {
   std::uint64_t seed_;
   std::vector<double> phase_;        // per-client ring position in [0, 1)
   std::vector<Script> scripts_;      // empty when no trace file
-  std::vector<ClientView> views_;    // stable storage for attach()
   std::vector<net::ChannelConfig> channels_;
   std::vector<double> quality_;
 };

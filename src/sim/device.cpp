@@ -30,11 +30,6 @@ bool DeviceSim::responds(Rng& rng) const {
   return rng.uniform() < availability;
 }
 
-bool DeviceSim::responds(std::size_t round, Rng& rng) const {
-  if (presence_state(round) != PresenceSchedule::State::kPresent) return false;
-  return responds(rng);
-}
-
 TierProportions TierProportions::parse(double w, double m, double s) {
   const double total = w + m + s;
   TierProportions p;

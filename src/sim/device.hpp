@@ -20,32 +20,15 @@ namespace afl {
 enum class DeviceTier { kWeak = 0, kMedium = 1, kStrong = 2 };
 const char* device_tier_name(DeviceTier tier);
 
-/// Round-indexed presence of one client in the fleet (src/pop/). A client is
-/// kPresent (normal behavior), kDark (temporarily unreachable — the dispatch
-/// is sent but no reply ever comes), or kAbsent (departed or not yet joined —
-/// same observable behavior, different bookkeeping). Schedules are pure
-/// functions of the round so any engine/thread can query them without
-/// perturbing RNG streams.
-class PresenceSchedule {
- public:
-  enum class State { kPresent = 0, kDark = 1, kAbsent = 2 };
-  virtual ~PresenceSchedule() = default;
-  virtual State state(std::size_t round) const = 0;
-};
-
 struct DeviceSim {
   DeviceTier tier = DeviceTier::kStrong;
   std::size_t base_capacity = 0;  // parameters
   double jitter = 0.0;            // capacity(t) = base * (1 + U(-jitter, jitter))
   /// Probability the device responds at all this round (1 = always). Models
   /// dropouts / unreachable stragglers; the server only finds out by the
-  /// missing reply.
+  /// missing reply. Churn (src/pop/) is decided before this draw, by the
+  /// engine's population.
   double availability = 1.0;
-  /// Optional population schedule (not owned; see src/pop/). When set, the
-  /// round-aware responds() overload consults it before the availability
-  /// draw; when null every round behaves like the legacy constant-
-  /// availability fleet.
-  const PresenceSchedule* presence = nullptr;
 
   /// Available capacity this round.
   std::size_t capacity(Rng& rng) const;
@@ -53,24 +36,6 @@ struct DeviceSim {
   /// Whether the device responds this round. Draws from `rng` only when
   /// availability < 1, so fully-available fleets keep their RNG streams.
   bool responds(Rng& rng) const;
-
-  /// Round-aware variant: an absent or dark client never responds (and
-  /// consumes no RNG draw — churn must not shift the streams of the clients
-  /// that are present); a present client falls through to the legacy
-  /// availability draw, keeping churn-free fleets byte-identical.
-  bool responds(std::size_t round, Rng& rng) const;
-
-  /// Whether responds(round, rng) returns true for some draw: present this
-  /// round with a nonzero availability. Draws nothing.
-  bool can_respond(std::size_t round) const {
-    return availability > 0.0 && presence_state(round) == PresenceSchedule::State::kPresent;
-  }
-
-  /// Population state this round; kPresent when no schedule is attached.
-  PresenceSchedule::State presence_state(std::size_t round) const {
-    return presence == nullptr ? PresenceSchedule::State::kPresent
-                               : presence->state(round);
-  }
 };
 
 struct TierProportions {

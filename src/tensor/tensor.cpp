@@ -36,12 +36,6 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float mean, float stddev) {
   return t;
 }
 
-Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi) {
-  Tensor t(std::move(shape));
-  for (auto& v : t.data_) v = static_cast<float>(rng.uniform(lo, hi));
-  return t;
-}
-
 Tensor Tensor::from_vector(Shape shape, std::vector<float> values) {
   if (shape_numel(shape) != values.size()) {
     throw std::invalid_argument("Tensor::from_vector: shape/value size mismatch");

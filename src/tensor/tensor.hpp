@@ -29,8 +29,6 @@ class Tensor {
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
   /// I.i.d. N(mean, stddev^2) entries.
   static Tensor randn(Shape shape, Rng& rng, float mean = 0.0f, float stddev = 1.0f);
-  /// I.i.d. U(lo, hi) entries.
-  static Tensor rand_uniform(Shape shape, Rng& rng, float lo, float hi);
   static Tensor from_vector(Shape shape, std::vector<float> values);
 
   const Shape& shape() const { return shape_; }

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+
 #include "core/baselines.hpp"
 #include "core/experiment.hpp"
+#include "core/rolling_fl.hpp"
 
 namespace afl {
 namespace {
@@ -98,6 +104,56 @@ TEST(Baselines, RunOnAllArchitectures) {
       EXPECT_GT(run_algorithm(a, env).final_full_acc, 0.0)
           << algorithm_name(a) << " on " << model_name(m);
     }
+  }
+}
+
+TEST(Baselines, EveryAlgorithmWithAFleetRunsUnderThePopulation) {
+  // The engine builds the population the run config names for any fleet. A
+  // scripted trace departs every client at round 0, so each baseline books
+  // every dispatch as a churn failure; All-Large has no fleet and stays
+  // idealized.
+  ExperimentEnv env = make_env(tiny_config());
+  const std::string trace = ::testing::TempDir() + "baselines_all_depart.txt";
+  {
+    std::ofstream out(trace);
+    for (std::size_t c = 0; c < env.devices.size(); ++c) out << "leave " << c << " 0\n";
+  }
+  env.run.pop = pop::PopConfig{};
+  env.run.pop->enabled = true;
+  env.run.pop->trace_path = trace;
+  const std::size_t dispatches = env.run.rounds * env.run.clients_per_round;
+  for (Algorithm a : {Algorithm::kDecoupled, Algorithm::kHeteroFl, Algorithm::kScaleFl}) {
+    EXPECT_EQ(run_algorithm(a, env).failed_trainings, dispatches) << algorithm_name(a);
+  }
+  EXPECT_EQ(RollingFl(env.spec, env.pool_config, env.data, env.devices, env.run)
+                .run()
+                .failed_trainings,
+            dispatches);
+  EXPECT_EQ(run_algorithm(Algorithm::kAllLarge, env).failed_trainings, 0u);
+  std::remove(trace.c_str());
+}
+
+TEST(Baselines, AsyncOrHierarchicalRunThrowsNamingTheAlgorithm) {
+  // Only AdaptiveFL implements the async and sharded policy seams; a
+  // baseline asked for either refuses before training, naming itself.
+  ExperimentEnv async_env = make_env(tiny_config());
+  async_env.run.async = async::AsyncConfig{};
+  async_env.run.async->enabled = true;
+  ExperimentEnv hier_env = make_env(tiny_config());
+  hier_env.run.hier = hier::HierConfig{};
+  hier_env.run.hier->enabled = true;
+  for (const ExperimentEnv* env : {&async_env, &hier_env}) {
+    for (Algorithm a : {Algorithm::kAllLarge, Algorithm::kDecoupled, Algorithm::kHeteroFl,
+                        Algorithm::kScaleFl}) {
+      try {
+        run_algorithm(a, *env);
+        ADD_FAILURE() << algorithm_name(a) << " ran";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(algorithm_name(a)), std::string::npos) << e.what();
+      }
+    }
+    EXPECT_THROW(RollingFl(env->spec, env->pool_config, env->data, env->devices, env->run).run(),
+                 std::invalid_argument);
   }
 }
 

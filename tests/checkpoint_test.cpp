@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "arch/build.hpp"
 #include "arch/zoo.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/model.hpp"
 #include "tensor/ops.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace afl {
@@ -118,6 +121,41 @@ TEST(Checkpoint, TruncatedFileThrows) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ShapeWhoseProductWrapsIsRejected) {
+  // Dims {2^32, 2^32} multiply to 2^64, which wraps to 0: the reader must
+  // refuse the shape rather than load a tensor of it with no elements, from
+  // a legacy file and from a v2 file whose CRC trailer is valid.
+  std::string body;
+  const auto put = [&](std::uint64_t v) {
+    body.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(1);  // one tensor
+  put(1);  // name length
+  body += 'w';
+  put(2);  // rank
+  put(std::uint64_t{1} << 32);
+  put(std::uint64_t{1} << 32);
+  const std::uint32_t crc = crc32(body.data(), body.size());
+  const std::string files[] = {
+      "AFLCKPT1" + body,
+      "AFLCKPT2" + body + std::string(reinterpret_cast<const char*>(&crc), sizeof(crc))};
+  const std::string path = temp_path("wrap");
+  for (const std::string& bytes : files) {
+    SCOPED_TRACE(bytes.substr(0, 8));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      load_checkpoint(path);
+      ADD_FAILURE() << "loaded a shape whose product wraps";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos) << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

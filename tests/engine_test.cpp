@@ -1,21 +1,26 @@
 // Unit tests for the shared RoundEngine and its thread pool: hook sequencing
 // with mock policies (no-response, adapt-failure, empty-selection) under both
 // engines, the unified dispatch-accounting rule, deterministic parallel
-// execution, the async engine's stop rule, and failure routing
-// shared with the async engine.
+// execution, the async engine's stop rule, admission under a population, and
+// failure routing shared with the async engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "async/engine.hpp"
+#include "engine/dispatch.hpp"
 #include "engine/round_engine.hpp"
+#include "pop/population.hpp"
 #include "util/thread_pool.hpp"
 
 namespace afl {
@@ -335,10 +340,11 @@ TEST(RoundEngine, ShardedModeNeedsHierRoundPolicy) {
   // plain RoundPolicy must be refused up front, naming the algorithm.
   MockPolicy policy(2);
   auto fleet = mock_fleet(2, 1000, 1.0);
-  hier::HierConfig hier;
-  hier.enabled = true;
-  hier.shards = 2;
-  RoundEngine engine(mock_config(1, 2), &fleet, nullptr, hier);
+  FlRunConfig cfg = mock_config(1, 2);
+  cfg.hier = hier::HierConfig{};
+  cfg.hier->enabled = true;
+  cfg.hier->shards = 2;
+  RoundEngine engine(cfg, &fleet);
   try {
     engine.run(policy);
     FAIL() << "sharded run of a plain RoundPolicy did not throw";
@@ -461,6 +467,28 @@ TEST(AsyncEngine, UnavailableFleetClosesEmptyWindows) {
   EXPECT_EQ(r.comm.params_returned(), 0u);
   ASSERT_EQ(r.curve.size(), 3u);
   EXPECT_EQ(r.curve.back().round, 3u);
+}
+
+TEST(AsyncEngine, ChannelThatLosesEveryFrameClosesEmptyWindows) {
+  // Every device answers, but its channel loses every frame, so no update
+  // can arrive: each window closes empty once `concurrency` of its
+  // dispatches have failed, instead of redispatching forever.
+  MockPolicy policy(12);
+  auto fleet = mock_fleet(12, 1000, 1.0);
+  FlRunConfig cfg = mock_config(2, 4);
+  cfg.net = net::NetConfig{};
+  cfg.net->enabled = true;
+  cfg.net->channel.loss_prob = 1.0;
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  async::AsyncEngine engine(cfg, acfg, &fleet);
+  const std::size_t concurrency = engine.async_config().concurrency;
+  RunResult r = engine.run(policy);
+
+  ASSERT_EQ(r.round_metrics.size(), 2u);
+  EXPECT_EQ(r.failed_trainings, 2 * concurrency);
+  EXPECT_EQ(r.comm.drops(), 2 * concurrency);
+  EXPECT_EQ(policy.executions_.load(), 0u);
 }
 
 TEST(AsyncEngine, PartlyAvailableFleetFillsEveryWindow) {
@@ -603,6 +631,135 @@ TEST(RoundEngine, DeadlineTurnsSlowClientsIntoStragglers) {
                             return s.rfind("commit:", 0) == 0;
                           }),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Admission: the engine's population decides presence before availability
+// ---------------------------------------------------------------------------
+
+/// Admits trainable dispatches through a bare Dispatcher (transport and
+/// compression off) and returns what admit() books for each.
+class AdmissionHarness {
+ public:
+  AdmissionHarness(const std::vector<DeviceSim>& fleet, const pop::Population* population)
+      : policy_(fleet.size()),
+        dispatcher_{"test",      policy_,    &fleet,  population, transport_,
+                    compressor_, lifecycle_, result_, telemetry_} {}
+
+  std::optional<engine::DispatchFailure> admit(std::size_t client, std::size_t round,
+                                               Rng& rng) {
+    engine::Dispatch d;
+    d.slot.round = round;
+    d.slot.client = client;
+    d.slot.trainable = true;
+    return dispatcher_.admit(d, rng, round).failure;
+  }
+
+ private:
+  MockPolicy policy_;
+  const net::Transport transport_;  // disabled
+  compress::Compressor compressor_;  // disabled
+  engine::LifecycleTracker lifecycle_{/*active=*/false};
+  RunResult result_;
+  std::optional<RoundTelemetry> telemetry_;
+  engine::Dispatcher dispatcher_;
+};
+
+TEST(Population, AttachInstallsPresenceSchedules) {
+  // The engine's population is the only source of presence: with a rotating,
+  // sometimes-dark population over a fully available fleet, admission books
+  // exactly what Population::state says for every client and round.
+  pop::PopConfig cfg;
+  cfg.enabled = true;
+  cfg.active_frac = 0.75;
+  cfg.rotate_every = 5;
+  cfg.rotate_frac = 0.3;
+  cfg.dark_prob = 0.2;
+  const auto population = pop::Population::create(cfg, 12, 17);
+  ASSERT_NE(population, nullptr);
+  const auto fleet = mock_fleet(12, 1000, 1.0);
+  AdmissionHarness harness(fleet, population.get());
+  Rng rng(5), reference(5);
+  std::size_t absent = 0, dark = 0;
+  for (std::size_t round = 0; round < 15; ++round) {
+    for (std::size_t c = 0; c < fleet.size(); ++c) {
+      const auto failure = harness.admit(c, round, rng);
+      switch (population->state(c, round)) {
+        case pop::Presence::kAbsent:
+          ++absent;
+          EXPECT_EQ(failure, engine::DispatchFailure::kDeparted) << round << ":" << c;
+          break;
+        case pop::Presence::kDark:
+          ++dark;
+          EXPECT_EQ(failure, engine::DispatchFailure::kWentDark) << round << ":" << c;
+          break;
+        case pop::Presence::kPresent:
+          EXPECT_FALSE(failure.has_value()) << round << ":" << c;
+          break;
+      }
+    }
+  }
+  EXPECT_GT(absent, 0u);  // the population did churn
+  EXPECT_GT(dark, 0u);
+  EXPECT_EQ(rng.next_u64(), reference.next_u64());  // availability 1 draws nothing
+}
+
+TEST(DeviceSimPresence, NullScheduleKeepsLegacyStreams) {
+  // Without a population every client is present, and each admission draws
+  // exactly what DeviceSim::responds draws (none at availability 1), so
+  // churn-free runs keep their RNG streams.
+  for (const double availability : {1.0, 0.5}) {
+    SCOPED_TRACE(availability);
+    const auto fleet = mock_fleet(4, 1000, availability);
+    AdmissionHarness harness(fleet, nullptr);
+    Rng rng(7), reference(7);
+    for (std::size_t round = 0; round < 8; ++round) {
+      for (std::size_t c = 0; c < fleet.size(); ++c) {
+        const auto failure = harness.admit(c, round, rng);
+        if (fleet[c].responds(reference)) {
+          EXPECT_FALSE(failure.has_value()) << round << ":" << c;
+        } else {
+          EXPECT_EQ(failure, engine::DispatchFailure::kNoResponse) << round << ":" << c;
+        }
+      }
+    }
+    EXPECT_EQ(rng.next_u64(), reference.next_u64());  // in lockstep to the end
+  }
+}
+
+TEST(DeviceSimPresence, AbsentAndDarkClientsNeverRespondAndDrawNothing) {
+  // Scripted churn: client 1 departs at round 0, client 2 is dark in rounds
+  // 3 and 4. An absent or dark client fails without drawing from the RNG; a
+  // present client draws exactly what DeviceSim::responds draws.
+  const std::string trace = ::testing::TempDir() + "engine_test_presence.txt";
+  std::ofstream(trace) << "leave 1 0\ndark 2 3 2\n";
+  pop::PopConfig pc;
+  pc.enabled = true;
+  pc.trace_path = trace;
+  const auto population = pop::Population::create(pc, 4, 42);
+  std::remove(trace.c_str());
+  ASSERT_NE(population, nullptr);
+  const auto fleet = mock_fleet(4, 1000, 0.5);  // would draw if presence did not come first
+  AdmissionHarness harness(fleet, population.get());
+  Rng rng(7), reference(7);
+  std::size_t departed = 0, dark = 0;
+  for (std::size_t round = 0; round < 6; ++round) {
+    for (std::size_t c = 0; c < fleet.size(); ++c) {
+      const auto failure = harness.admit(c, round, rng);
+      if (c == 1) {
+        departed += failure == engine::DispatchFailure::kDeparted;
+      } else if (c == 2 && (round == 3 || round == 4)) {
+        dark += failure == engine::DispatchFailure::kWentDark;
+      } else if (fleet[c].responds(reference)) {
+        EXPECT_FALSE(failure.has_value()) << round << ":" << c;
+      } else {
+        EXPECT_EQ(failure, engine::DispatchFailure::kNoResponse) << round << ":" << c;
+      }
+    }
+  }
+  EXPECT_EQ(departed, 6u);
+  EXPECT_EQ(dark, 2u);
+  EXPECT_EQ(rng.next_u64(), reference.next_u64());  // in lockstep to the end
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Population-dynamics subsystem tests (src/pop/, docs/POPULATION.md):
 // parametric churn determinism, ring-rotation accounting, scripted trace
-// parsing, per-client channel sampling, and the DeviceSim presence wrapper's
-// legacy-stream guarantee.
+// parsing and per-client channel sampling. How the engine asks the
+// population for presence is tested in engine_test.
 
 #include <cstdio>
 #include <fstream>
@@ -14,13 +14,10 @@
 #include "net/channel.hpp"
 #include "pop/config.hpp"
 #include "pop/population.hpp"
-#include "sim/device.hpp"
 #include "util/rng.hpp"
 
 namespace afl::pop {
 namespace {
-
-using State = PresenceSchedule::State;
 
 PopConfig rotating_config() {
   PopConfig cfg;
@@ -78,7 +75,7 @@ TEST(Population, FullyActiveFleetNeverChurns) {
   const auto pop = Population::create(cfg, 32, 5);
   for (std::size_t round = 0; round < 20; ++round) {
     for (std::size_t c = 0; c < 32; ++c) {
-      EXPECT_EQ(pop->state(c, round), State::kPresent);
+      EXPECT_EQ(pop->state(c, round), Presence::kPresent);
     }
   }
 }
@@ -93,8 +90,8 @@ TEST(Population, DarkBlocksFollowProbability) {
   const auto never = Population::create(cfg, 16, 9);
   for (std::size_t round = 0; round < 9; ++round) {
     for (std::size_t c = 0; c < 16; ++c) {
-      EXPECT_EQ(always->state(c, round), State::kDark);
-      EXPECT_EQ(never->state(c, round), State::kPresent);
+      EXPECT_EQ(always->state(c, round), Presence::kDark);
+      EXPECT_EQ(never->state(c, round), Presence::kPresent);
     }
   }
 }
@@ -125,17 +122,17 @@ TEST_F(ScriptedTraceTest, ScriptOverridesParametricProcess) {
   cfg.trace_path = path_;
   const auto pop = Population::create(cfg, 10, 1);
   // Client 3's first record is its join: absent before round 5.
-  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(pop->state(3, r), State::kAbsent);
-  for (std::size_t r = 5; r < 12; ++r) EXPECT_EQ(pop->state(3, r), State::kPresent);
+  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(pop->state(3, r), Presence::kAbsent);
+  for (std::size_t r = 5; r < 12; ++r) EXPECT_EQ(pop->state(3, r), Presence::kPresent);
   // Client 1 starts present and departs for good at round 4.
-  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(pop->state(1, r), State::kPresent);
-  for (std::size_t r = 4; r < 12; ++r) EXPECT_EQ(pop->state(1, r), State::kAbsent);
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(pop->state(1, r), Presence::kPresent);
+  for (std::size_t r = 4; r < 12; ++r) EXPECT_EQ(pop->state(1, r), Presence::kAbsent);
   // Client 2 is a member throughout but dark for rounds [2, 5).
-  EXPECT_EQ(pop->state(2, 1), State::kPresent);
-  for (std::size_t r = 2; r < 5; ++r) EXPECT_EQ(pop->state(2, r), State::kDark);
-  EXPECT_EQ(pop->state(2, 5), State::kPresent);
+  EXPECT_EQ(pop->state(2, 1), Presence::kPresent);
+  for (std::size_t r = 2; r < 5; ++r) EXPECT_EQ(pop->state(2, r), Presence::kDark);
+  EXPECT_EQ(pop->state(2, 5), Presence::kPresent);
   // Unscripted clients keep the parametric behavior.
-  EXPECT_EQ(pop->state(0, 3), State::kPresent);
+  EXPECT_EQ(pop->state(0, 3), Presence::kPresent);
 }
 
 TEST_F(ScriptedTraceTest, MalformedTracesThrow) {
@@ -193,63 +190,6 @@ TEST(Population, ChannelSamplingIsDeterministicAndBounded) {
     best_quality = std::max(best_quality, q);
   }
   EXPECT_DOUBLE_EQ(best_quality, 1.0);
-}
-
-TEST(Population, AttachInstallsPresenceSchedules) {
-  PopConfig cfg = rotating_config();
-  cfg.dark_prob = 0.2;
-  const auto pop = Population::create(cfg, 12, 17);
-  std::vector<DeviceSim> devices(12);
-  pop->attach(devices);
-  for (std::size_t c = 0; c < 12; ++c) {
-    ASSERT_NE(devices[c].presence, nullptr);
-    for (std::size_t round = 0; round < 15; ++round) {
-      EXPECT_EQ(devices[c].presence_state(round), pop->state(c, round));
-    }
-  }
-}
-
-TEST(DeviceSimPresence, NullScheduleKeepsLegacyStreams) {
-  // A device without a schedule is the legacy fleet: always present, and the
-  // round-aware responds() must consume exactly the draws the legacy
-  // overload does (none at availability 1) so churn-free runs stay
-  // byte-identical.
-  DeviceSim device;
-  device.availability = 1.0;
-  Rng with_presence_check(42), reference(42);
-  for (std::size_t round = 0; round < 8; ++round) {
-    EXPECT_EQ(device.presence_state(round), State::kPresent);
-    EXPECT_TRUE(device.responds(round, with_presence_check));
-  }
-  EXPECT_EQ(with_presence_check.next_u64(), reference.next_u64());
-
-  // With partial availability both overloads draw identically.
-  device.availability = 0.5;
-  Rng via_round(7), via_legacy(7);
-  for (std::size_t round = 0; round < 32; ++round) {
-    EXPECT_EQ(device.responds(round, via_round), device.responds(via_legacy));
-  }
-  EXPECT_EQ(via_round.next_u64(), via_legacy.next_u64());
-}
-
-TEST(DeviceSimPresence, AbsentAndDarkClientsNeverRespondAndDrawNothing) {
-  class FixedSchedule final : public PresenceSchedule {
-   public:
-    explicit FixedSchedule(State s) : state_(s) {}
-    State state(std::size_t) const override { return state_; }
-
-   private:
-    State state_;
-  };
-  const FixedSchedule absent(State::kAbsent), dark(State::kDark);
-  DeviceSim device;
-  device.availability = 0.5;  // would draw if presence did not short-circuit
-  Rng rng(3), reference(3);
-  device.presence = &absent;
-  EXPECT_FALSE(device.responds(4, rng));
-  device.presence = &dark;
-  EXPECT_FALSE(device.responds(4, rng));
-  EXPECT_EQ(rng.next_u64(), reference.next_u64());
 }
 
 }  // namespace

@@ -230,6 +230,36 @@ TEST(SnapshotResume, CompressionUnderChurnBitIdentical) {
   check_resume(env, "sync_topk_churn", 3);
 }
 
+TEST(SnapshotResume, ResumedLegStopsAfterItsFirstWindowOnEveryEngine) {
+  // Resuming a round-3 snapshot with stop-after still at 3: both engines
+  // train window 4 and stop there, instead of stopping before it.
+  for (const bool async_engine : {false, true}) {
+    SCOPED_TRACE(async_engine ? "async" : "round");
+    ExperimentEnv env = small_env();
+    if (async_engine) {
+      env.run.async = async::AsyncConfig{};
+      env.run.async->enabled = true;
+      env.run.async->buffer_size = 3;
+      env.run.net->round_deadline_s = 0.0;
+    }
+    const std::string path = snap_path(async_engine ? "stop_async" : "stop_round");
+    env.run.snapshot_path = path;
+    env.run.snapshot_every = std::size_t{1};
+    env.run.stop_after_round = std::size_t{3};
+    run_algorithm(Algorithm::kAdaptiveFl, env);
+
+    env.run.snapshot_path = std::string{};
+    env.run.resume_from = path;
+    const RunResult resumed = run_algorithm(Algorithm::kAdaptiveFl, env);
+    ASSERT_EQ(resumed.round_metrics.size(), 1u);
+    EXPECT_EQ(resumed.round_metrics[0].round, 4u);
+    EXPECT_GT(resumed.round_metrics[0].clients_ok, 0u);
+    ASSERT_FALSE(resumed.curve.empty());
+    EXPECT_EQ(resumed.curve.back().round, 4u);
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SnapshotResume, CorruptedSnapshotIsRejected) {
   ExperimentEnv env = small_env();
   const std::string path = snap_path("corrupt");
