@@ -304,15 +304,18 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
 
   // Whether the open window can gain no update: nothing accepted is in
   // flight and no device can answer in it (present, with a nonzero
-  // availability and, with a transport, a channel that can deliver a frame),
-  // so every admission fails.
+  // availability, a largest capacity draw the policy can adapt a dispatch
+  // to and, with a transport, a channel that can deliver a frame), so every
+  // admission fails.
+  const std::size_t fewest_params = policy.min_trainable_params();
   auto stuck = [&]() {
     if (devices_ == nullptr) return false;
     for (const auto& [id, p] : pending) {
       if (p.accepted) return false;
     }
     for (std::size_t c = 0; c < devices_->size(); ++c) {
-      if ((*devices_)[c].availability > 0.0 &&
+      const DeviceSim& d = (*devices_)[c];
+      if (d.availability > 0.0 && d.max_capacity() >= fewest_params &&
           (population_ == nullptr ||
            population_->state(c, flushes + 1) == pop::Presence::kPresent) &&
           (!transport_.enabled() || transport_.channel_for(c).loss_prob < 1.0)) {

@@ -1,5 +1,6 @@
 #include "core/adaptivefl.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <utility>
@@ -55,19 +56,28 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   void begin_round(std::size_t, Rng&) override {
-    taken_.assign(data_.num_clients(), false);
+    taken_.clear();
     updates_.clear();
   }
 
   void begin_async(std::size_t) override {
     // Run-scoped reset: under the async engine `taken_` tracks in-flight
     // clients across flushes instead of a per-round cohort.
-    taken_.assign(data_.num_clients(), false);
+    taken_.clear();
     updates_.clear();
   }
 
   void set_client_busy(std::size_t client, bool busy) override {
-    taken_[client] = busy;
+    const auto it = std::lower_bound(taken_.begin(), taken_.end(), client);
+    const bool listed = it != taken_.end() && *it == client;
+    if (busy && !listed) taken_.insert(it, client);
+    if (!busy && listed) taken_.erase(it);
+  }
+
+  std::size_t min_trainable_params() const override {
+    // Every pool entry contains the smallest one (entries ascend), so
+    // adapt() fails only for a capacity below its size.
+    return pool_.entry(0).params;
   }
 
   bool select(ClientSlot& s, Rng& rng) override {
@@ -78,7 +88,7 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     // Step 3 (Client Selection).
     const auto client = selector_.select(sent, taken_, rng);
     if (!client) return false;  // every client already has a model this round
-    taken_[*client] = true;
+    set_client_busy(*client, true);
     s.client = *client;
     s.sent_index = sent;
     s.params_sent = pool_.entry(sent).params;
@@ -233,7 +243,7 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   ParamSet& global_;
   bool has_initial_;
 
-  std::vector<bool> taken_;
+  std::vector<std::size_t> taken_;  // ascending: this round's clients (async: in flight)
   std::vector<ClientUpdate> updates_;
 };
 

@@ -224,6 +224,12 @@ class AsyncRoundPolicy : public RoundPolicy {
   /// free again. select() must never pick a busy client.
   virtual void set_client_busy(std::size_t client, bool busy) = 0;
 
+  /// The fewest parameters adapt() can make any dispatch trainable with: a
+  /// device whose capacity never reaches it cannot answer, which the async
+  /// stop rule needs to know (docs/ASYNC.md). 0, the default, lets any
+  /// capacity answer.
+  virtual std::size_t min_trainable_params() const { return 0; }
+
   /// Stores a trained update whose aggregation weight is scaled by
   /// `weight_scale` = 1 / (1 + staleness)^alpha. commit() remains the
   /// synchronous path (weight_scale == 1).

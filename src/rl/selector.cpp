@@ -5,6 +5,7 @@
 #include <iterator>
 
 #include "obs/prof/prof.hpp"
+#include "rl/run_steps.hpp"
 
 namespace afl {
 
@@ -40,7 +41,9 @@ std::vector<std::size_t> ClientSelector::level_entries(Level level) const {
 // One selection distribution in run form. Points are the touched and taken
 // clients, ascending, with their own reward (0 if taken); clients between two
 // points share `fresh`. Channel quality scales the clients it covers. Passes
-// recompute w_c / div (div = 1 gives w_c) in the order of a dense vector.
+// recompute w_c / div (div = 1 gives w_c) in the order of a dense vector, and
+// repeat one rounded step over each run as a dense loop does one client at a
+// time: run_steps() (rl/run_steps.hpp) gives that loop's bits.
 struct ClientSelector::Weights {
   const double* quality;  // covers clients [0, nq)
   std::size_t nq;
@@ -49,29 +52,7 @@ struct ClientSelector::Weights {
   double fresh = 0.0;
   double total = 0.0;  // sum(1.0), after the uniform fallback
 
-  // Loops over a run of k equal values, one client at a time as a dense loop
-  // goes; out of line, as GCC 12 keeps an inlined run's accumulator in memory.
-  [[gnu::noinline]] static double add_run(double s, double v, std::size_t k) {
-    for (; k > 0; --k) s += v;
-    return s;
-  }
-  // Rounds h -= p * lp as a dense loop's h -= p * log(p) is, fused with FMA;
-  // spelled out because a run's loop-invariant p * lp would be hoisted and rounded.
-  [[gnu::noinline]] static double entropy_run(double h, double p, double lp, std::size_t k) {
-#ifdef __FP_FAST_FMA
-    for (; k > 0; --k) h = std::fma(-p, lp, h);
-#else
-    for (; k > 0; --k) h -= p * lp;
-#endif
-    return h;
-  }
-  // Subtracts v from r until it drops below zero; returns how many of the k
-  // subtractions left it non-negative.
-  [[gnu::noinline]] static std::size_t scan_run(double& r, double v, std::size_t k) {
-    std::size_t i = 0;
-    while (i < k && !((r -= v) < 0.0)) ++i;
-    return i;
-  }
+  static bool never(double) { return false; }
 
   // Out of line so no caller fuses the product into a sum: a dense weight
   // vector rounds each weight to a double before it is added.
@@ -100,7 +81,7 @@ struct ClientSelector::Weights {
   double sum(double div) const {
     double s = 0.0;
     walk(div, [&](std::size_t b, std::size_t e, double v) {
-      s = add_run(s, v, e - b);
+      s = run_steps(s, e - b, [v](double x) { return x + v; }, never);
       return false;
     });
     return s;
@@ -111,26 +92,38 @@ struct ClientSelector::Weights {
   std::size_t pick(double r) const {
     std::size_t hit = n - 1;
     walk(total, [&](std::size_t b, std::size_t e, double v) {
-      const std::size_t c = b + scan_run(r, v, e - b);
+      std::size_t kept = 0;  // subtractions that left r non-negative
+      r = run_steps(r, e - b, [v](double x) { return x - v; },
+                    [](double x) { return x < 0.0; }, &kept);
+      const std::size_t c = b + kept;
       if (c < e || v > 0.0) hit = std::min(c, e - 1);
       return c < e;
     });
     return hit;
   }
 
-  // Sum of -p log p in dense order, with one logarithm per run.
+  // Sum of -p log p in dense order, with one logarithm per run. The step
+  // rounds h -= p * lp as the dense loop's h -= p * log(p) is: fused on FMA
+  // targets, spelled out because a run's loop-invariant p * lp would be
+  // hoisted and rounded.
   double entropy() const {
     double h = 0.0;
     walk(total, [&](std::size_t b, std::size_t e, double p) {
-      if (p > 0.0) h = entropy_run(h, p, std::log(p), e - b);
+      if (p <= 0.0) return false;
+      const double lp = std::log(p);
+#ifdef __FP_FAST_FMA
+      h = run_steps(h, e - b, [p, lp](double x) { return std::fma(-p, lp, x); }, never);
+#else
+      h = run_steps(h, e - b, [p, lp](double x) { return x - p * lp; }, never);
+#endif
       return false;
     });
     return h;
   }
 };
 
-ClientSelector::Weights ClientSelector::weights(std::size_t model_index,
-                                                const std::vector<bool>& taken) const {
+ClientSelector::Weights ClientSelector::weights(
+    std::size_t model_index, const std::vector<std::size_t>& taken) const {
   const Level type = pool_.entry(model_index).level;
   const std::vector<std::size_t> entries = level_entries(type);
   const auto reward_of = [&](std::size_t c) {
@@ -146,17 +139,15 @@ ClientSelector::Weights ClientSelector::weights(std::size_t model_index,
     }
     return 0.0;
   };
-  // The points: taken clients (one scan of the mask) and touched ones.
-  std::vector<std::size_t> taken_ids, ids;
-  const auto first = taken.begin();
-  const auto end = first + static_cast<std::ptrdiff_t>(std::min(taken.size(), num_clients_));
-  for (auto it = std::find(first, end, true); it != end; it = std::find(it + 1, end, true)) {
-    taken_ids.push_back(static_cast<std::size_t>(it - first));
-  }
+  // The points: taken clients and touched ones.
+  const auto taken_end = std::lower_bound(taken.begin(), taken.end(), num_clients_);
   const std::vector<std::size_t>& touched = tables_.touched();
-  std::set_union(taken_ids.begin(), taken_ids.end(), touched.begin(), touched.end(),
+  std::vector<std::size_t> ids;
+  std::set_union(taken.begin(), taken_end, touched.begin(), touched.end(),
                  std::back_inserter(ids));
-  const auto is_taken = [&](std::size_t c) { return c < taken.size() && taken[c]; };
+  const auto is_taken = [&](std::size_t c) {
+    return std::binary_search(taken.begin(), taken_end, c);
+  };
   Weights w{channel_quality_.data(), std::min(channel_quality_.size(), num_clients_),
             num_clients_, {}};
   for (std::size_t c : ids) w.points.emplace_back(c, is_taken(c) ? 0.0 : reward_of(c));
@@ -177,8 +168,22 @@ ClientSelector::Weights ClientSelector::weights(std::size_t model_index,
   return w;
 }
 
+namespace {
+
+// The clients a mask marks taken, ascending.
+std::vector<std::size_t> taken_ids(const std::vector<bool>& taken) {
+  std::vector<std::size_t> ids;
+  for (auto it = std::find(taken.begin(), taken.end(), true); it != taken.end();
+       it = std::find(it + 1, taken.end(), true)) {
+    ids.push_back(static_cast<std::size_t>(it - taken.begin()));
+  }
+  return ids;
+}
+
+}  // namespace
+
 std::vector<double> ClientSelector::probabilities(
-    std::size_t model_index, const std::vector<bool>& taken) const {
+    std::size_t model_index, const std::vector<std::size_t>& taken) const {
   const Weights w = weights(model_index, taken);
   std::vector<double> probs(num_clients_, 0.0);
   if (w.total <= 0.0) return probs;  // all clients taken
@@ -189,21 +194,32 @@ std::vector<double> ClientSelector::probabilities(
   return probs;
 }
 
+std::vector<double> ClientSelector::probabilities(std::size_t model_index,
+                                                  const std::vector<bool>& taken) const {
+  return probabilities(model_index, taken_ids(taken));
+}
+
 double ClientSelector::selection_entropy(std::size_t model_index) const {
   AFL_PROF_SPAN("rl.selection_entropy");
   if (num_clients_ < 2) return 0.0;
-  const Weights w = weights(model_index, {});
+  const Weights w = weights(model_index, std::vector<std::size_t>{});
   const double h = w.total <= 0.0 ? 0.0 : w.entropy();
   return h / std::log(static_cast<double>(num_clients_));
 }
 
 std::optional<std::size_t> ClientSelector::select(std::size_t model_index,
-                                                  const std::vector<bool>& taken,
+                                                  const std::vector<std::size_t>& taken,
                                                   Rng& rng) const {
   const Weights w = weights(model_index, taken);
   const double psum = w.total <= 0.0 ? 0.0 : w.sum(w.total);  // 0: all taken
   if (psum <= 0.0) return std::nullopt;
   return w.pick(rng.uniform() * psum);
+}
+
+std::optional<std::size_t> ClientSelector::select(std::size_t model_index,
+                                                  const std::vector<bool>& taken,
+                                                  Rng& rng) const {
+  return select(model_index, taken_ids(taken), rng);
 }
 
 }  // namespace afl

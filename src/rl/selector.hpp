@@ -1,9 +1,12 @@
 #pragma once
 // Client selection strategies (§3.3 + the Figure 5 ablation variants).
 //
-// No per-client array is stored: each pass walks the clients in order, touched
-// and taken ones with their own weight, each gap between them a run sharing
-// one, adding the doubles a dense weight vector would (docs/HIERARCHY.md).
+// No per-client array is stored or scanned: each pass walks the clients in
+// order, touched and taken ones with their own weight, each gap between them
+// a run sharing one, and run_steps() (rl/run_steps.hpp) adds a run's doubles
+// exactly as a dense weight vector's loop would, in time that grows with the
+// binades the sum crosses. A selection therefore costs O((touched + taken) x
+// binades), not O(clients) (docs/HIERARCHY.md, "Run-form selection").
 
 #include <optional>
 #include <vector>
@@ -42,14 +45,20 @@ class ClientSelector {
   }
   const std::vector<double>& channel_quality() const { return channel_quality_; }
 
-  /// Picks a client for pool entry `model_index`, excluding clients whose
-  /// slot in `taken` is true (each client trains at most one model per
-  /// round). Returns nullopt when no client is available. Draws exactly as
-  /// Rng::categorical(probabilities(model_index, taken)) would.
+  /// Picks a client for pool entry `model_index`, excluding the clients in
+  /// `taken`, ascending ids (each client trains at most one model per round;
+  /// ids >= the client count are ignored). Returns nullopt when no client is
+  /// available. Draws exactly as Rng::categorical(probabilities(model_index,
+  /// taken)) would.
+  std::optional<std::size_t> select(std::size_t model_index,
+                                    const std::vector<std::size_t>& taken, Rng& rng) const;
+  /// The same with `taken` as a mask (true = taken), turned into ids first.
   std::optional<std::size_t> select(std::size_t model_index,
                                     const std::vector<bool>& taken, Rng& rng) const;
 
   /// Selection probabilities P(m_i, c) over all clients (taken ones get 0).
+  std::vector<double> probabilities(std::size_t model_index,
+                                    const std::vector<std::size_t>& taken) const;
   std::vector<double> probabilities(std::size_t model_index,
                                     const std::vector<bool>& taken) const;
 
@@ -65,7 +74,7 @@ class ClientSelector {
 
  private:
   struct Weights;  // the run form of one selection distribution (selector.cpp)
-  Weights weights(std::size_t model_index, const std::vector<bool>& taken) const;
+  Weights weights(std::size_t model_index, const std::vector<std::size_t>& taken) const;
 
   const ModelPool& pool_;
   std::size_t num_clients_;

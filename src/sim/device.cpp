@@ -25,6 +25,11 @@ std::size_t DeviceSim::capacity(Rng& rng) const {
       static_cast<double>(base_capacity) * f)));
 }
 
+std::size_t DeviceSim::max_capacity() const {
+  if (jitter <= 0.0) return base_capacity;
+  return static_cast<std::size_t>(std::round(static_cast<double>(base_capacity) * (1.0 + jitter)));
+}
+
 bool DeviceSim::responds(Rng& rng) const {
   if (availability >= 1.0) return true;
   return rng.uniform() < availability;

@@ -33,6 +33,9 @@ struct DeviceSim {
   /// Available capacity this round.
   std::size_t capacity(Rng& rng) const;
 
+  /// The largest capacity() can draw: round(base_capacity * (1 + jitter)).
+  std::size_t max_capacity() const;
+
   /// Whether the device responds this round. Draws from `rng` only when
   /// availability < 1, so fully-available fleets keep their RNG streams.
   bool responds(Rng& rng) const;

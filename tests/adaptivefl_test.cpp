@@ -132,6 +132,27 @@ TEST(AdaptiveFl, RequiresDevicePerClient) {
       std::invalid_argument);
 }
 
+TEST(AdaptiveFl, FleetThatNeverFitsEndsOnEitherEngine) {
+  // No device can hold even the smallest pool entry, so every dispatch fails
+  // adaptation. The sync run books each slot as a failure; the async run
+  // closes each window empty once `concurrency` dispatches have failed.
+  ExperimentConfig cfg = tiny_config();
+  cfg.num_clients = 12;
+  ExperimentEnv env = make_env(cfg);
+  for (DeviceSim& d : env.devices) d.base_capacity = 0;
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    FlRunConfig run = env.run;
+    run.async = async::AsyncConfig{};
+    run.async->enabled = async;
+    AdaptiveFl alg(env.spec, env.pool_config, env.data, env.devices, run, {});
+    const RunResult r = alg.run();
+    const std::size_t per_window = async ? 2 * cfg.clients_per_round : cfg.clients_per_round;
+    EXPECT_EQ(r.failed_trainings, cfg.rounds * per_window);
+    EXPECT_EQ(r.comm.params_returned(), 0u);
+  }
+}
+
 TEST(AdaptiveFl, RlTablesLearnTierStructure) {
   // After several rounds, the selector should assign higher L1-selection
   // probability mass to strong clients than to weak clients.

@@ -118,6 +118,8 @@ class MockPolicy : public AsyncRoundPolicy {
     return true;
   }
 
+  std::size_t min_trainable_params() const override { return required_capacity_; }
+
   void adapt(ClientSlot& s) override {
     if (s.capacity < required_capacity_) return;  // not trainable
     s.trainable = true;
@@ -516,6 +518,50 @@ TEST(AsyncEngine, PartlyAvailableFleetFillsEveryWindow) {
     for (const RoundMetrics& m : r.round_metrics) {
       EXPECT_EQ(m.clients_ok, engine.async_config().buffer_size);
     }
+  }
+}
+
+TEST(AsyncEngine, FleetThatNeverFitsClosesEmptyWindows) {
+  // Every device answers, but none can ever hold what the policy adapts a
+  // dispatch to, so no update can arrive: each window closes empty once
+  // `concurrency` of its dispatches have failed adaptation, instead of
+  // redispatching forever.
+  MockPolicy policy(12);
+  policy.required_capacity_ = 1001;
+  auto fleet = mock_fleet(12, 1000, 1.0);
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  async::AsyncEngine engine(mock_config(2, 4), acfg, &fleet);
+  const std::size_t concurrency = engine.async_config().concurrency;
+  RunResult r = engine.run(policy);
+
+  ASSERT_EQ(r.round_metrics.size(), 2u);
+  for (const RoundMetrics& m : r.round_metrics) {
+    EXPECT_EQ(m.clients_ok, 0u);
+    EXPECT_EQ(m.clients_failed, concurrency);
+  }
+  EXPECT_EQ(r.failed_trainings, 2 * concurrency);
+  EXPECT_EQ(policy.executions_.load(), 0u);
+}
+
+TEST(AsyncEngine, FleetThatFitsOnlyWhenJitteredFillsEveryWindow) {
+  // Every base capacity falls short of what the policy needs, but one draw
+  // in eight, jittered upward, reaches it. An update can still arrive, so
+  // the stop rule closes no window early, although each books far more than
+  // `concurrency` failures, and each waits for a full buffer.
+  MockPolicy policy(12);
+  policy.required_capacity_ = 1150;
+  auto fleet = mock_fleet(12, 1000, 1.0);
+  for (DeviceSim& d : fleet) d.jitter = 0.2;  // draws up to 1200
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  async::AsyncEngine engine(mock_config(3, 4), acfg, &fleet);
+  RunResult r = engine.run(policy);
+
+  EXPECT_GT(r.failed_trainings, 3 * engine.async_config().concurrency);
+  ASSERT_EQ(r.round_metrics.size(), 3u);
+  for (const RoundMetrics& m : r.round_metrics) {
+    EXPECT_EQ(m.clients_ok, engine.async_config().buffer_size);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "arch/zoo.hpp"
 #include "obs/metrics.hpp"
+#include "rl/run_steps.hpp"
 #include "rl/selector.hpp"
 #include "rl/tables.hpp"
 
@@ -330,6 +331,15 @@ bool same_state(const Rng& a, const Rng& b) {
          same_bits(x.cached_normal, y.cached_normal);
 }
 
+// The taken clients of a mask, ascending: the selector's id-list form.
+std::vector<std::size_t> ids_of(const std::vector<bool>& taken) {
+  std::vector<std::size_t> ids;
+  for (std::size_t c = 0; c < taken.size(); ++c) {
+    if (taken[c]) ids.push_back(c);
+  }
+  return ids;
+}
+
 // Streaming selection equals the dense reference bit for bit: every pick, the
 // Rng state after it, probabilities() and selection_entropy(). Each case is
 // one (client count, strategy) pair under a seeded history of RL updates
@@ -385,17 +395,26 @@ TEST_P(SelectionMatchesDense, PicksProbabilitiesAndEntropy) {
       }
       masks[3].assign(n, true);
       for (const std::vector<bool>& taken : masks) {
+        const std::vector<std::size_t> ids = ids_of(taken);
         for (std::size_t m : {rng.uniform_index(pool.size()), last}) {
           const std::vector<double> dense = dense_probabilities(sel, pool, strategy, m, taken);
           const std::vector<double> streamed = sel.probabilities(m, taken);
           ASSERT_EQ(streamed.size(), dense.size());
           ASSERT_EQ(std::memcmp(streamed.data(), dense.data(), n * sizeof(double)), 0)
               << "n=" << n << " m=" << m << " quality=" << q;
+          const std::vector<double> listed = sel.probabilities(m, ids);
+          ASSERT_EQ(listed.size(), dense.size());
+          ASSERT_EQ(std::memcmp(listed.data(), dense.data(), n * sizeof(double)), 0)
+              << "n=" << n << " m=" << m << " quality=" << q << " (id list)";
           for (int draw = 0; draw < 3; ++draw) {
             Rng a(rng.next_u64());
             Rng b = a;
-            ASSERT_EQ(sel.select(m, taken, a), dense_select(dense, b)) << "n=" << n;
+            Rng c = a;
+            const std::optional<std::size_t> want = dense_select(dense, b);
+            ASSERT_EQ(sel.select(m, taken, a), want) << "n=" << n;
             ASSERT_TRUE(same_state(a, b));
+            ASSERT_EQ(sel.select(m, ids, c), want) << "n=" << n << " (id list)";
+            ASSERT_TRUE(same_state(c, b));
           }
         }
       }
@@ -409,6 +428,210 @@ TEST_P(SelectionMatchesDense, PicksProbabilitiesAndEntropy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SizesAndStrategies, SelectionMatchesDense, ::testing::Range(0, 24));
+
+// The scale-out regime: 2^20 clients, few of them touched or taken, so each
+// run of fresh clients is long and every pass crosses many binades in
+// closed form. One RL history, no channel quality; an empty and a sparse
+// taken list.
+TEST(SelectionMatchesDense, MillionClientsEmptyAndSparseTaken) {
+  constexpr std::size_t n = std::size_t{1} << 20;
+  const ArchSpec spec = mini_vgg(10, 3, 16);
+  const ModelPool pool(spec, PoolConfig::defaults_for(spec));
+  ClientSelector sel(pool, n, SelectionStrategy::kResourceCuriosity);
+  Rng rng(0x5CA1Eu);
+  for (int u = 0; u < 300; ++u) {
+    const std::size_t c = rng.uniform_index(n);
+    const std::size_t sent = rng.uniform_index(pool.size());
+    const std::size_t back = rng.uniform_index(sent + 1);
+    if (u % 5 == 0) {
+      sel.tables().update_failure(sent, pool.entry(sent).level, c);
+    } else {
+      sel.tables().update(sent, pool.entry(sent).level, back, pool.entry(back).level, c);
+    }
+  }
+  std::vector<bool> sparse(n, false);
+  for (int t = 0; t < 64; ++t) sparse[rng.uniform_index(n)] = true;
+  for (const std::size_t c : sel.tables().touched()) {
+    if (rng.uniform() < 0.25) sparse[c] = true;  // taken and touched
+  }
+  for (const std::vector<bool>& taken : {std::vector<bool>{}, sparse}) {
+    const std::vector<std::size_t> ids = ids_of(taken);
+    for (const std::size_t m : {std::size_t{0}, pool.size() / 2, pool.size() - 1}) {
+      const std::vector<double> dense = dense_probabilities(
+          sel, pool, SelectionStrategy::kResourceCuriosity, m, taken);
+      for (int draw = 0; draw < 4; ++draw) {
+        Rng a(rng.next_u64());
+        Rng b = a;
+        ASSERT_EQ(sel.select(m, ids, a), dense_select(dense, b))
+            << "m=" << m << " taken=" << ids.size();
+        ASSERT_TRUE(same_state(a, b));
+      }
+    }
+  }
+  for (std::size_t m = 0; m < pool.size(); ++m) {
+    const double dense = dense_entropy(
+        dense_probabilities(sel, pool, SelectionStrategy::kResourceCuriosity, m, {}));
+    ASSERT_TRUE(same_bits(sel.selection_entropy(m), dense)) << "m=" << m;
+  }
+}
+
+// run_steps() against the loop it replaces, bit for bit: the final value,
+// and for a stop predicate the count of steps before it fired.
+template <typename Step, typename Stop>
+::testing::AssertionResult same_as_plain_loop(double s, std::size_t k, Step step, Stop stop) {
+  std::size_t want_done = 0;
+  double want = s;
+  for (; want_done < k; ++want_done) {
+    if (stop(want = step(want))) break;
+  }
+  std::size_t done = k + 1;
+  const double got = run_steps(s, k, step, stop, &done);
+  if (same_bits(got, want) && done == want_done) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << std::hexfloat << "start " << s << ", k " << k << ": got " << got << " after "
+         << done << " steps, the loop " << want << " after " << want_done;
+}
+
+const auto never = [](double) { return false; };
+
+// Rounds a * b on its own: the product an unfused h -= p * lp subtracts.
+[[gnu::noinline]] double rounded_product(double a, double b) { return a * b; }
+
+// A step count: mostly short runs, some long ones.
+std::size_t run_length(Rng& rng) {
+  if (rng.uniform_index(8) == 0) return rng.uniform_index(16);
+  return static_cast<std::size_t>(std::exp(rng.uniform() * std::log(20000.0)));
+}
+
+// A double with a random sign, significand and exponent in [lo, hi].
+double random_double(Rng& rng, int lo, int hi) {
+  const int e = lo + static_cast<int>(rng.uniform_index(static_cast<std::size_t>(hi - lo + 1)));
+  const double f = std::ldexp(1.0 + rng.uniform(), e);
+  return rng.uniform_index(2) == 0 ? f : -f;
+}
+
+TEST(RunSteps, AdditionMatchesThePlainLoop) {
+  Rng rng(0xADD5u);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (int t = 0; t < 12000; ++t) {
+    double s = 0.0;
+    double v = 0.0;
+    switch (t % 6) {
+      case 0: {  // ties: v an odd number of half ulps of s's binade, both parities
+        const int e = static_cast<int>(rng.uniform_index(40)) - 20;
+        const double u = std::ldexp(1.0, e - 52);
+        s = std::ldexp(1.0, e) + u * static_cast<double>(rng.uniform_index(1000));
+        v = u * (static_cast<double>(rng.uniform_index(6)) + 0.5);
+        break;
+      }
+      case 1:  // unrelated magnitudes, either sign
+        s = random_double(rng, -30, 30);
+        v = random_double(rng, -60, 10);
+        break;
+      case 2:  // zero and subnormal starts, subnormal or small steps
+        s = rng.uniform_index(2) == 0 ? 0.0 : tiny * static_cast<double>(rng.uniform_index(5000));
+        v = rng.uniform_index(2) == 0 ? tiny * static_cast<double>(1 + rng.uniform_index(9))
+                                      : random_double(rng, -1060, -1000);
+        if (rng.uniform_index(4) == 0) s = -s;
+        break;
+      case 3:  // v = 0, or a v that rounds away (s + v == s)
+        s = random_double(rng, -10, 10);
+        v = rng.uniform_index(2) == 0
+                ? 0.0
+                : std::ldexp(std::fabs(s), -54 - static_cast<int>(rng.uniform_index(20)));
+        break;
+      case 4:  // a start of either sign and a step of the other
+        s = random_double(rng, 0, 8);
+        v = std::copysign(std::fabs(random_double(rng, -12, -2)), -s);
+        break;
+      default:  // the selector's case: a sum of non-negative weights from 0
+        s = 0.0;
+        v = std::fabs(random_double(rng, -25, 0));
+    }
+    const std::size_t k = run_length(rng);
+    ASSERT_TRUE(same_as_plain_loop(s, k, [v](double x) { return x + v; }, never))
+        << std::hexfloat << "v " << v;
+  }
+}
+
+TEST(RunSteps, LongRunsCrossManyBinades) {
+  Rng rng(0xB1AADEu);
+  for (int t = 0; t < 8; ++t) {
+    const std::size_t k = t < 4 ? 10000000 : 1 + rng.uniform_index(2000000);
+    const double v = std::ldexp(1.0 + rng.uniform(), -40 + static_cast<int>(rng.uniform_index(30)));
+    // From 0 a sum of 10^7 steps crosses 23 binades; from a start far below
+    // v or far above, a few more or none.
+    for (const double s : {0.0, v * 1e-9, v * 3e6, -v * 5e6}) {
+      ASSERT_TRUE(same_as_plain_loop(s, k, [v](double x) { return x + v; }, never))
+          << std::hexfloat << "v " << v;
+    }
+  }
+}
+
+TEST(RunSteps, ScanStopsWhereThePlainLoopDoes) {
+  Rng rng(0x5CA4u);
+  const auto below_zero = [](double r) { return r < 0.0; };
+  for (int t = 0; t < 6000; ++t) {
+    const double v = std::ldexp(1.0 + rng.uniform(), -30 + static_cast<int>(rng.uniform_index(30)));
+    const std::size_t k = run_length(rng);
+    double r = 0.0;
+    switch (t % 3) {
+      case 0:  // stops somewhere in the run, or just past it
+        r = v * static_cast<double>(k) * 1.2 * rng.uniform();
+        break;
+      case 1: {  // exactly 0 after j steps (not a stop), negative after j + 1
+        const double step = std::ldexp(static_cast<double>(1 + 2 * rng.uniform_index(8)),
+                                       -static_cast<int>(rng.uniform_index(40)));
+        const std::size_t j = rng.uniform_index(k + 2);
+        ASSERT_TRUE(same_as_plain_loop(step * static_cast<double>(j), k,
+                                       [step](double x) { return x - step; }, below_zero));
+        continue;
+      }
+      default:  // v below half an ulp of r: r never moves
+        r = v * 0x1p60 * (1.0 + rng.uniform());
+    }
+    ASSERT_TRUE(same_as_plain_loop(r, k, [v](double x) { return x - v; }, below_zero))
+        << std::hexfloat << "v " << v;
+  }
+  // A run long enough to cross many binades on the way down to its stop.
+  const double v = 0x1.3p-20;
+  ASSERT_TRUE(same_as_plain_loop(v * 9999999.5, 10000000, [v](double x) { return x - v; },
+                                 below_zero));
+}
+
+TEST(RunSteps, EntropyStepsFusedAndUnfusedMatchThePlainLoop) {
+  Rng rng(0xE27u);
+  for (int t = 0; t < 4000; ++t) {
+    const double p = std::ldexp(1.0 - rng.uniform(), -static_cast<int>(rng.uniform_index(24)));
+    const double lp = std::log(p);
+    const double h = t % 2 == 0 ? 0.0 : rng.uniform() * 10.0;
+    const std::size_t k = t % 50 == 0 ? 2000000 : run_length(rng);
+    ASSERT_TRUE(same_as_plain_loop(h, k, [p, lp](double x) { return std::fma(-p, lp, x); },
+                                   never))
+        << std::hexfloat << "fused, p " << p;
+    const double product = rounded_product(p, lp);
+    ASSERT_TRUE(same_as_plain_loop(h, k, [product](double x) { return x - product; }, never))
+        << std::hexfloat << "unfused, p " << p;
+  }
+}
+
+TEST(RunSteps, NonFiniteStartsAndStepsMatchThePlainLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  const auto below_zero = [](double r) { return r < 0.0; };
+  for (const double s : {0.0, 1.5, -2.0, big, -big, inf, -inf, nan}) {
+    for (const double v : {0.0, 0.25, -3.0, big / 4, inf, -inf, nan}) {
+      for (const std::size_t k : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                                  std::size_t{1000}}) {
+        ASSERT_TRUE(same_as_plain_loop(s, k, [v](double x) { return x + v; }, never))
+            << "v " << v;
+        ASSERT_TRUE(same_as_plain_loop(s, k, [v](double x) { return x - v; }, below_zero))
+            << "v " << v;
+      }
+    }
+  }
+}
 
 TEST(Selector, StrategyNames) {
   EXPECT_STREQ(selection_strategy_name(SelectionStrategy::kResourceCuriosity), "CS");
