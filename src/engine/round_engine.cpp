@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,52 +25,55 @@ using engine::DispatchFailure;
 
 namespace {
 
-/// One aggregation shard of a sharded run: folds its partition's updates
-/// round by round into a sync window and, when shard models diverge between
-/// syncs, maintains a shard-local model.
+/// One aggregation shard of a sharded run. Its partition's updates fold into
+/// the run's root aggregator: straight away in lockstep mode, and through a
+/// round partial that first advances a shard-local model when shard models
+/// diverge between syncs. The fold is exact integer addition, so the root
+/// does not depend on how the clients split across edges.
 class EdgeAggregator {
  public:
   /// `global` provides the structure snapshot; `track_local_model` is the
   /// sync_every > 1 mode, where the edge re-finalizes a local model every
   /// round instead of tracking the root global.
-  EdgeAggregator(const ParamSet& global, bool track_local_model)
-      : agg_(global), track_local_model_(track_local_model) {
-    if (track_local_model_) model_ = global;
+  EdgeAggregator(const ParamSet& global, bool track_local_model) {
+    if (track_local_model) {
+      round_.emplace(global);
+      model_ = global;
+    }
   }
 
-  /// Folds one update by rvalue, so no ParamSet is ever duplicated.
-  void add(ClientUpdate&& update) { agg_.add(std::move(update)); }
+  /// Folds one update by rvalue, so no ParamSet is ever duplicated: into the
+  /// round partial when tracking a local model, else into `root`.
+  void add(ClientUpdate&& update, ShardAggregator& root) {
+    (round_ ? *round_ : root).add(std::move(update));
+    ++updates_;
+  }
 
   /// Shard-local model (only meaningful when tracking one).
   const ParamSet& model() const { return model_; }
   /// Resets the local model to a freshly synced global.
   void set_model(const ParamSet& global) {
-    if (track_local_model_) model_ = global;
+    if (round_) model_ = global;
   }
 
-  /// Closes the shard's round: locally finalizes the round partial into the
-  /// shard model (divergent mode) and folds it into the pending sync window.
-  /// Returns the number of updates the round contributed.
-  std::size_t end_round() {
-    ShardPartial part = agg_.take_partial();
-    const std::size_t updates = part.updates;
-    if (track_local_model_ && updates > 0) {
-      // Divergent mode: the shard advances its own model every round;
-      // elements its clients did not cover keep the shard's previous value.
-      model_ = finalize_partial(part, model_);
+  /// Closes the shard's round: when tracking a local model, finalizes the
+  /// round partial into it, merges the partial into `root` and clears it in
+  /// place. Returns the number of updates the round contributed.
+  std::size_t end_round(ShardAggregator& root) {
+    if (round_ && updates_ > 0) {
+      // Elements the shard's clients did not cover keep the shard's
+      // previous value.
+      model_ = finalize_partial(round_->partial(), model_);
+      root.merge(round_->partial());
+      round_->reset();
     }
-    merge_partials(window_, std::move(part));
-    return updates;
+    return std::exchange(updates_, 0);
   }
-
-  /// Moves the accumulated window partial out (the root merge input).
-  ShardPartial take_window() { return std::exchange(window_, ShardPartial{}); }
 
  private:
-  ShardAggregator agg_;
-  ShardPartial window_;
-  bool track_local_model_;
+  std::optional<ShardAggregator> round_;  // divergent mode only
   ParamSet model_;
+  std::size_t updates_ = 0;
 };
 
 }  // namespace
@@ -186,10 +190,14 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   // Edges fold the updates of a sharded run; a flat run commits to the
   // policy instead. Built from the (possibly resumed) global. Elements no
   // shard covered during a divergent sync window fall through to the global
-  // of the last root merge.
+  // of the last root sync.
   std::vector<EdgeAggregator> edges;
   ParamSet synced_global;
+  // Every edge folds into this one root, which keeps its storage for the
+  // whole run and is cleared in place after each sync.
+  std::optional<ShardAggregator> root;
   if (sharded_) {
+    root.emplace(hier_policy->hier_global());
     edges.reserve(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
       edges.emplace_back(hier_policy->hier_global(), divergent);
@@ -295,8 +303,8 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         queue_hist.record(d.queue_s);
         train_hist.record(d.exec_s);
         if (sharded_) {
-          edges[shard].add(
-              ClientUpdate{std::move(d.outcome.params), d.outcome.samples});
+          edges[shard].add(ClientUpdate{std::move(d.outcome.params), d.outcome.samples},
+                           *root);
         } else {
           policy.commit(s, std::move(d.outcome));
         }
@@ -331,17 +339,16 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         policy.aggregate(round);
       } else {
         for (EdgeAggregator& edge : edges) {
-          shard_updates_hist->record(static_cast<double>(edge.end_round()));
+          shard_updates_hist->record(static_cast<double>(edge.end_round(*root)));
         }
         if (sync_round) {
-          // The root merge adds the shard windows element-wise — exact
-          // integer addition, independent of shard count and order — and
-          // finalizes against the window's base.
+          // The root holds every shard's updates since the last sync, folded
+          // by exact integer addition, so it does not depend on the shard
+          // count or order; it finalizes against the window's base.
           Stopwatch merge_watch;
-          ShardPartial merged;
-          for (EdgeAggregator& edge : edges) merge_partials(merged, edge.take_window());
           const ParamSet& base = divergent ? synced_global : hier_policy->hier_global();
-          hier_policy->hier_set_global(finalize_partial(merged, base));
+          hier_policy->hier_set_global(finalize_partial(root->partial(), base));
+          root->reset();
           if (divergent) {
             synced_global = hier_policy->hier_global();
             for (EdgeAggregator& edge : edges) edge.set_model(synced_global);

@@ -204,10 +204,15 @@ double RunCore::train(const std::vector<Dispatch*>& wave, const char* span,
                       const char* client_span) {
   AFL_PROF_SPAN(span);
   Stopwatch wave_watch;
+  // Trace records a dispatch emits (local_train) are held per dispatch and
+  // written in wave order once the wave is done, so the trace does not
+  // depend on which worker ran what when.
+  obs::TraceBuffers records(wave.size());
   pool.parallel_for(wave.size(), [&](std::size_t i) {
     // Worker-thread span: lands on the pool thread's own span stack, so
     // kernel spans nested under it attribute correctly per thread.
     AFL_PROF_SPAN(client_span);
+    const obs::TraceCapture capture(records[i]);
     Dispatch& d = *wave[i];
     d.queue_s = wave_watch.seconds();
     Stopwatch item_watch;

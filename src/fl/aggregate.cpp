@@ -26,7 +26,7 @@ ParamSet fold_updates(const ParamSet& global,
                       ShardAggregator::Mode mode) {
   ShardAggregator agg(global, mode);
   for (const auto& u : updates) agg.add(u);
-  return finalize_partial(agg.take_partial(), global);
+  return finalize_partial(agg.partial(), global);
 }
 
 }  // namespace

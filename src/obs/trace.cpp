@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #ifdef _WIN32
 #include <io.h>
@@ -136,6 +137,17 @@ TraceState& state() {
   return *s;
 }
 
+/// This thread's open TraceCapture, if any.
+thread_local std::vector<std::string>* t_capture = nullptr;
+
+void write_record(std::string record) {
+  if (t_capture != nullptr) {
+    t_capture->push_back(std::move(record));
+  } else {
+    state().write_line(record);
+  }
+}
+
 void append_number(std::string& buf, double v) {
   if (!std::isfinite(v)) {
     buf += '0';
@@ -250,7 +262,19 @@ void TraceEvent::emit() {
   if (!enabled_ || emitted_) return;
   emitted_ = true;
   buf_ += '}';
-  state().write_line(buf_);
+  write_record(std::move(buf_));
+}
+
+TraceCapture::TraceCapture(std::vector<std::string>& records) : outer_(t_capture) {
+  t_capture = &records;
+}
+
+TraceCapture::~TraceCapture() { t_capture = outer_; }
+
+TraceBuffers::~TraceBuffers() {
+  for (std::vector<std::string>& records : buffers_) {
+    for (std::string& record : records) write_record(std::move(record));
+  }
 }
 
 TraceSpan::~TraceSpan() {

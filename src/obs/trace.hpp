@@ -9,6 +9,7 @@
 // aggregate, evaluate, rl_update, rl_tables (see docs/OBSERVABILITY.md).
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -77,6 +78,39 @@ class TraceEvent {
   bool enabled_;
   bool emitted_ = false;
   std::string buf_;
+};
+
+/// Diverts the records this thread emits while the scope lives into
+/// `records`, one complete line each with its creation-time ts_ms, instead
+/// of the sink. The training wave holds one per dispatch over a TraceBuffers
+/// slot, so records made on pool threads reach the trace in wave order, not
+/// in scheduling order. Scopes nest.
+class TraceCapture {
+ public:
+  explicit TraceCapture(std::vector<std::string>& records);
+  ~TraceCapture();
+  TraceCapture(const TraceCapture&) = delete;
+  TraceCapture& operator=(const TraceCapture&) = delete;
+
+ private:
+  std::vector<std::string>* outer_;
+};
+
+/// One record buffer per task of a parallel section, for that task's
+/// TraceCapture. The destructor writes every buffer to the sink (or to an
+/// enclosing capture) in task order, on the exception path too, so a section
+/// that throws still leaves the records of the tasks that ran.
+class TraceBuffers {
+ public:
+  explicit TraceBuffers(std::size_t tasks) : buffers_(tasks) {}
+  ~TraceBuffers();
+  TraceBuffers(const TraceBuffers&) = delete;
+  TraceBuffers& operator=(const TraceBuffers&) = delete;
+
+  std::vector<std::string>& operator[](std::size_t task) { return buffers_[task]; }
+
+ private:
+  std::vector<std::vector<std::string>> buffers_;
 };
 
 /// RAII span: emits its event with a "dur_ms" field on destruction.

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
+#include "async/config.hpp"
 #include "core/experiment.hpp"
+#include "hier/config.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
 
@@ -203,6 +208,78 @@ TEST(EngineDeterminism, TransportlessRunEmitsNoLifecycleRecords) {
   run_with_threads(Algorithm::kAdaptiveFl, env, 2);
   obs::set_trace_path("");
   EXPECT_TRUE(lifecycle_lines(path).empty());
+}
+
+/// Every record of a trace file, in file order, without the wall-clock
+/// fields and without run_start's thread count.
+std::vector<std::string> records_without_timing(const std::string& path) {
+  static const std::regex kVarying(
+      R"re("(ts_ms|dur_ms|train_ms|aggregate_ms|eval_ms|wall_ms|threads)":[^,}]*,?)re");
+  std::vector<std::string> records;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    line = std::regex_replace(line, kVarying, "");
+    const std::size_t dangling = line.rfind(",}");
+    if (dangling != std::string::npos) line.erase(dangling, 1);
+    records.push_back(line);
+  }
+  return records;
+}
+
+TEST(EngineDeterminism, TraceRecordSequenceIdenticalAcrossRunsAndThreadCounts) {
+  // Workers train while the engine thread waits; the local_train records
+  // they make are held per dispatch and written in wave order after the
+  // wave. So the whole trace, record order included, is the same on every
+  // run and at any thread count, for each engine.
+  const ExperimentEnv env = make_env(tiny_config());
+  hier::HierConfig sharded;
+  sharded.enabled = true;
+  sharded.shards = 2;
+  sharded.sync_every = 2;
+  async::AsyncConfig buffered;
+  buffered.enabled = true;
+  buffered.buffer_size = 3;
+  buffered.concurrency = 6;
+  buffered.staleness_alpha = 0.5;
+  struct Mode {
+    const char* name;
+    Algorithm algorithm;
+    std::optional<hier::HierConfig> hier;
+    std::optional<async::AsyncConfig> async;
+  };
+  const Mode modes[] = {{"flat", Algorithm::kAdaptiveFl, std::nullopt, std::nullopt},
+                        {"sharded", Algorithm::kAdaptiveFl, sharded, std::nullopt},
+                        {"async", Algorithm::kAdaptiveFlAsync, std::nullopt, buffered}};
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    std::vector<std::vector<std::string>> traces;
+    for (std::size_t threads : {1, 3, 3, 3}) {
+      ExperimentEnv copy = env;
+      copy.run.threads = threads;
+      copy.run.net = lossy_net();
+      copy.run.hier = mode.hier;
+      copy.run.async = mode.async;
+      const std::string path = ::testing::TempDir() + "engine_trace_order_" + mode.name +
+                               std::to_string(traces.size()) + ".jsonl";
+      obs::set_trace_path(path);
+      run_algorithm(mode.algorithm, copy);
+      obs::set_trace_path("");
+      traces.push_back(records_without_timing(path));
+    }
+    const std::vector<std::string>& serial = traces.front();
+    ASSERT_NE(std::count_if(serial.begin(), serial.end(),
+                            [](const std::string& r) {
+                              return r.find("\"kind\":\"local_train\"") != std::string::npos;
+                            }),
+              0);
+    for (std::size_t run = 1; run < traces.size(); ++run) {
+      ASSERT_EQ(serial.size(), traces[run].size()) << "run " << run;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ(serial[i], traces[run][i]) << "run " << run << ", record " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

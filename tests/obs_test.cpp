@@ -1,17 +1,20 @@
 // Tests for the observability subsystem: metrics instruments, the registry,
-// the JSON validator, and the JSONL trace emitter.
+// the JSON validator, and the JSONL trace emitter with its per-task capture.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl::obs {
 namespace {
@@ -404,6 +407,41 @@ TEST(ObsTrace, JsonlRoundTrip) {
   EXPECT_NE(lines[1].find("\"kind\":\"unit_span\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"dur_ms\":"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A parallel section whose task throws still writes, in task order, the
+// records of every task that ran: the buffers write from their destructor.
+TEST(ObsTrace, CapturedRecordsReachTheSinkInTaskOrderWhenATaskThrows) {
+  constexpr std::size_t kTasks = 8;
+  constexpr std::size_t kThrowing = 3;
+  for (std::size_t threads : {1, 3}) {
+    const std::string path = std::string(::testing::TempDir()) + "/afl_obs_capture.jsonl";
+    set_trace_path(path);
+    ThreadPool pool(threads);
+    EXPECT_THROW(
+        {
+          TraceBuffers records(kTasks);
+          pool.parallel_for(kTasks, [&](std::size_t i) {
+            const TraceCapture capture(records[i]);
+            TraceEvent("capture_test").field("task", static_cast<std::uint64_t>(i)).emit();
+            if (i == kThrowing) throw std::runtime_error("task failed");
+          });
+        },
+        std::runtime_error);
+    set_trace_path("");
+
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    // Inline, the loop stops at the throwing task; workers run every task.
+    const std::size_t ran = threads == 1 ? kThrowing + 1 : kTasks;
+    ASSERT_EQ(lines.size(), ran) << threads << " threads";
+    for (std::size_t i = 0; i < ran; ++i) {
+      EXPECT_NE(lines[i].find("\"task\":" + std::to_string(i) + "}"), std::string::npos)
+          << lines[i];
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ObsTrace, NowMsIsMonotonic) {
