@@ -5,7 +5,7 @@
 // eventually but sacrifices the stable shared-prefix feature space.
 
 #include "bench_common.hpp"
-#include "core/rolling_fl.hpp"
+#include "core/baselines.hpp"
 #include "prune/model_pool.hpp"
 
 int main(int argc, char** argv) {

@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/trace.hpp"
-#include "util/stopwatch.hpp"
 
 namespace afl::async {
 namespace {
@@ -195,6 +194,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     for (std::uint64_t i = 0; i < n_pending; ++i) {
       Dispatch p;
       read_pending(reader, p, core.compressor.enabled());
+      p.slot.source = core.source_of(p.slot);
       if (devices_ != nullptr && p.slot.client >= devices_->size()) {
         throw std::runtime_error("snapshot: in-flight dispatch to a client outside the fleet");
       }
@@ -248,6 +248,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       d.slot.round = next_dispatch;
       if (!core.dispatcher.draw(d.slot, core.rng)) break;  // every free client is in flight
       policy.adapt(d.slot);
+      d.slot.source = core.source_of(d.slot);
       dispatch_counter.inc();
       d.id = next_dispatch;
       d.version = agg.version();
@@ -267,12 +268,14 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
   };
 
   // Lazily trains every accepted, still-untrained dispatch in one parallel
-  // wave. Wave membership is a pure function of event order and execute() is
-  // pure, so eager-vs-lazy scheduling cannot change any result bit.
-  auto train_wave = [&]() {
+  // wave; `without_rx` limits it to those that hold no decoded downlink. Wave
+  // membership is a pure function of event order and execute() is pure, so
+  // when a wave runs cannot change any result bit, as long as each dispatch
+  // trains on the global it was admitted under (do_flush).
+  auto train_wave = [&](bool without_rx) {
     std::vector<Dispatch*> wave;
     for (auto& [id, p] : pending) {
-      if (p.accepted && !p.trained) wave.push_back(&p);
+      if (p.accepted && !p.trained && !(without_rx && p.rx)) wave.push_back(&p);
     }
     if (!wave.empty()) core.train(wave, "async.train_wave", "async.client_train");
   };
@@ -284,11 +287,14 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     AFL_PROF_SPAN("async.flush");
     ++flushes;
     stuck_ends = 0;
+    // A dispatch without a decoded downlink splits its source, the live
+    // global, when it trains: train those still waiting before the global
+    // moves past the version their staleness is charged against. After the
+    // run's last flush nothing trains again.
+    if (flushes < config_.rounds) train_wave(/*without_rx=*/true);
     {
       AFL_PROF_SPAN("async.aggregate");
-      Stopwatch agg_watch;
-      policy.aggregate(flushes);
-      core.telemetry->add_aggregate_seconds(agg_watch.seconds());
+      core.aggregate();
     }
     const std::size_t new_version = agg.commit_flush();
     version_gauge.set(static_cast<double>(new_version));
@@ -342,7 +348,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     if (it == pending.end()) throw std::logic_error("AsyncEngine: event without a dispatch");
     if (e.kind == EventKind::kUpload) {
       Dispatch& p = it->second;
-      if (!p.trained) train_wave();
+      if (!p.trained) train_wave(/*without_rx=*/false);
       double arrive_at = e.time;
       if (transport_.enabled()) {
         const engine::Uplink up = core.dispatcher.send_update(p, async_.reupload_backoff_s);
@@ -385,7 +391,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
           .field("train_ms", p.outcome.stats.seconds * 1e3)
           .field("dur_ms", (clock.now() - p.base) * 1e3);
     });
-    policy.commit_weighted(p.slot, std::move(p.outcome), scale);
+    core.fold(p, scale);
     agg.note_buffered();
     occupancy_hist.record(static_cast<double>(agg.buffered()));
     if (agg.full()) do_flush();

@@ -7,10 +7,10 @@
 // up to `concurrency` clients are in flight at once, each dispatch's
 // downlink / local-compute / uplink durations come from the simulated
 // transport (src/net/), and the server buffers the first `buffer_size`
-// arrivals FedBuff-style. Each buffer flush folds the updates into the
-// global model — an update trained on global version v and committed at
-// version v' is discounted by 1 / (1 + (v' - v))^alpha — and commits a new
-// global version. `config.rounds` counts flushes.
+// arrivals FedBuff-style. Each arrival folds into the run core's aggregator
+// at once — an update trained on global version v and folded at version v'
+// is discounted by 1 / (1 + (v' - v))^alpha — and each buffer flush
+// finalizes a new global version. `config.rounds` counts flushes.
 //
 // Determinism contract (same guarantee as RoundEngine): every policy hook
 // except execute() runs on the engine thread in event order, and the event
@@ -18,7 +18,9 @@
 // of insertion order. execute() runs on the worker pool with a private
 // Rng::derive(seed, dispatch, client) stream; training is computed in
 // "waves" (all untrained in-flight dispatches at the first upload that needs
-// one), which changes scheduling but not results because execute() is pure.
+// one, and before a flush those without a decoded downlink, which read the
+// live global), which changes scheduling but not results because execute()
+// is pure and every dispatch trains on the global it was admitted under.
 // The RunResult is bit-identical for any AFL_THREADS.
 
 #include <cstddef>

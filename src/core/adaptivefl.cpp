@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "async/engine.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
 #include "nn/init.hpp"
 #include "obs/metrics.hpp"
@@ -17,13 +16,12 @@ namespace afl {
 namespace {
 
 /// Algorithm 1 as a RoundPolicy: uniform (or greedy) model draw from the
-/// pool, RL client selection, device-side adaptive pruning, heterogeneous
-/// aggregation, L1/M1/S1 evaluation. Also implements the AsyncRoundPolicy
-/// seam: the same selector / pruning / RL / aggregation code runs under the
-/// async engine, where `taken_` becomes the in-flight set and commits carry
-/// a staleness weight. The HierRoundPolicy seam on top exposes the global
-/// parameter set to sharded round-engine runs, which own aggregation.
-class AdaptiveFlPolicy final : public HierRoundPolicy {
+/// pool, RL client selection, device-side adaptive pruning, L1/M1/S1
+/// evaluation; the engines' run core aggregates its one global (Algorithm
+/// 2). Also implements the AsyncRoundPolicy seam: the same selector /
+/// pruning / RL code runs under the async engine, where `taken_` becomes the
+/// in-flight set.
+class AdaptiveFlPolicy final : public AsyncRoundPolicy {
  public:
   AdaptiveFlPolicy(const ArchSpec& spec, const ModelPool& pool,
                    const FederatedDataset& data, const FlRunConfig& config,
@@ -55,16 +53,16 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     selector_.set_channel_quality(quality);
   }
 
-  void begin_round(std::size_t, Rng&) override {
-    taken_.clear();
-    updates_.clear();
-  }
+  // Steps 5 and 6 (Model Uploading and Aggregation, Algorithm 2) run in the
+  // engines' run core, which folds every returned submodel into this global.
+  std::vector<ParamSet*> globals() override { return {&global_}; }
+
+  void begin_round(std::size_t, Rng&) override { taken_.clear(); }
 
   void begin_async(std::size_t) override {
     // Run-scoped reset: under the async engine `taken_` tracks in-flight
     // clients across flushes instead of a per-round cohort.
     taken_.clear();
-    updates_.clear();
   }
 
   void set_client_busy(std::size_t client, bool busy) override {
@@ -126,43 +124,19 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     // The dispatched pool model, split from the slot's source (the global,
     // or its shard's model between divergent syncs); the device prunes it
     // in local_view().
-    return pool_.split(s.source ? *s.source : global_, s.sent_index);
+    return pool_.split(*s.source, s.sent_index);
   }
 
   ParamSet local_view(const ClientSlot& s) const override {
     // s.rx is the codec-decoded downlink payload (sized sent_index); the
-    // device prunes it to what it can train. Identity path: split the frozen
+    // device prunes it to what it can train. Identity path: split the
     // source directly.
-    const ParamSet* from = s.rx ? s.rx : s.source;
-    return pool_.split(from ? *from : global_, s.back_index);
+    return pool_.split(s.rx ? *s.rx : *s.source, s.back_index);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     return train_client(pool_.build(s.back_index), local_view(s), data_, s.client,
                         config_.local, rng);
-  }
-
-  void commit(const ClientSlot&, TrainOutcome outcome) override {
-    // Step 5 (Model Uploading).
-    updates_.push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void commit_weighted(const ClientSlot&, TrainOutcome outcome,
-                       double weight_scale) override {
-    // Async path: the staleness discount scales the data-size weight.
-    updates_.push_back({std::move(outcome.params), outcome.samples, weight_scale});
-  }
-
-  const ParamSet& hier_global() const override { return global_; }
-
-  void hier_set_global(ParamSet global) override { global_ = std::move(global); }
-
-  void aggregate(std::size_t) override {
-    // Step 6 (Model Aggregation, Algorithm 2). Cleared here (not only in
-    // begin_round) because the async engine aggregates per buffer flush
-    // without round boundaries.
-    global_ = hetero_aggregate(global_, updates_);
-    updates_.clear();
   }
 
   void end_round(std::size_t round, RoundTelemetry& telemetry) override {
@@ -244,7 +218,6 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   bool has_initial_;
 
   std::vector<std::size_t> taken_;  // ascending: this round's clients (async: in flight)
-  std::vector<ClientUpdate> updates_;
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "core/baselines.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -8,8 +7,8 @@
 #include "arch/stats.hpp"
 #include "async/engine.hpp"
 #include "core/cohort_policy.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
+#include "prune/rolling.hpp"
 #include "prune/width_prune.hpp"
 
 namespace afl {
@@ -36,20 +35,13 @@ class AllLargePolicy final : public CohortPolicy {
     global_ = model.export_params();
   }
 
-  ParamSet dispatch_params(const ClientSlot&) const override { return global_; }
+  std::vector<ParamSet*> globals() override { return {&global_}; }
+
+  ParamSet dispatch_params(const ClientSlot& s) const override { return *s.source; }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     return train_client(build_full_model(spec_), local_view(s), data_, s.client,
                         config_.local, rng);
-  }
-
-  void commit(const ClientSlot&, TrainOutcome outcome) override {
-    updates_.push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void aggregate(std::size_t) override {
-    global_ = fedavg_aggregate(global_, updates_);
-    updates_.clear();
   }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
@@ -67,7 +59,6 @@ class AllLargePolicy final : public CohortPolicy {
   const ArchSpec& spec_;
   WidthPlan full_plan_;
   ParamSet global_;
-  std::vector<ClientUpdate> updates_;
 };
 
 // ---------------------------------------------------------------------------
@@ -98,24 +89,18 @@ class DecoupledPolicy final : public CohortPolicy {
     for (int l = 0; l < 3; ++l) globals_[l] = pool_.split(seed, heads_[l]);
   }
 
-  ParamSet dispatch_params(const ClientSlot& s) const override {
-    return globals_[s.sent_index];
+  // Each level family aggregates on its own: a client's update folds into
+  // the family it trained.
+  std::vector<ParamSet*> globals() override {
+    return {&globals_[0], &globals_[1], &globals_[2]};
   }
+  std::size_t global_of(const ClientSlot& s) const override { return s.back_index; }
+
+  ParamSet dispatch_params(const ClientSlot& s) const override { return *s.source; }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     return train_client(pool_.build(heads_[s.back_index]), local_view(s), data_,
                         s.client, config_.local, rng);
-  }
-
-  void commit(const ClientSlot& s, TrainOutcome outcome) override {
-    updates_[s.back_index].push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void aggregate(std::size_t) override {
-    for (int l = 0; l < 3; ++l) {
-      globals_[l] = fedavg_aggregate(globals_[l], updates_[l]);
-      updates_[l].clear();
-    }
   }
 
   void snapshot_state(SnapshotWriter& w) const override {
@@ -143,47 +128,53 @@ class DecoupledPolicy final : public CohortPolicy {
   const ModelPool& pool_;
   std::size_t heads_[3];
   ParamSet globals_[3];
-  std::vector<ClientUpdate> updates_[3];
 };
 
 // ---------------------------------------------------------------------------
-// HeteroFL
+// HeteroFL, and FedRolex* as HeteroFL on a rolled global
 // ---------------------------------------------------------------------------
+
+std::vector<std::size_t> level_sizes(const std::vector<HeteroFlLevel>& levels) {
+  std::vector<std::size_t> sizes;
+  for (const HeteroFlLevel& level : levels) sizes.push_back(level.params);
+  return sizes;
+}
 
 class HeteroFlPolicy final : public CohortPolicy {
  public:
   HeteroFlPolicy(const ArchSpec& spec, const FederatedDataset& data,
-                 const FlRunConfig& config, const std::vector<WidthPlan>& plans,
-                 const std::vector<std::string>& labels,
-                 const std::vector<std::size_t>& params)
-      : CohortPolicy(data, config, params),
+                 const FlRunConfig& config, const std::vector<HeteroFlLevel>& levels,
+                 bool rolling)
+      : CohortPolicy(data, config, level_sizes(levels)),
         spec_(spec),
-        level_plans_(plans),
-        level_labels_(labels) {}
+        levels_(levels),
+        rolling_(rolling) {}
 
-  std::string algorithm_name() const override { return "HeteroFL"; }
+  std::string algorithm_name() const override {
+    return rolling_ ? "FedRolex*" : "HeteroFL";
+  }
 
   void init_global(Rng& rng) override {
     Model full_model = build_full_model(spec_, &rng);
     global_ = full_model.export_params();
   }
 
+  std::vector<ParamSet*> globals() override { return {&global_}; }
+
+  void begin_round(std::size_t round, Rng& rng) override {
+    CohortPolicy::begin_round(round, rng);
+    // FedRolex*: round r's window is the prefix of the global rolled left by
+    // r, so the global moves into round r's frame before anything reads it.
+    if (rolling_) roll_channels(global_, spec_, 1);
+  }
+
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    return prune_params(global_, spec_, level_plans_[s.sent_index]);
+    return prune_to_shapes(*s.source, levels_[s.sent_index].shapes);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
-    return train_client(build_model(spec_, level_plans_[s.back_index]), local_view(s),
+    return train_client(build_model(spec_, levels_[s.back_index].plan), local_view(s),
                         data_, s.client, config_.local, rng);
-  }
-
-  void commit(const ClientSlot&, TrainOutcome outcome) override {
-    updates_.push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void aggregate(std::size_t) override {
-    global_ = hetero_aggregate(global_, updates_);
-    updates_.clear();
   }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
@@ -191,12 +182,12 @@ class HeteroFlPolicy final : public CohortPolicy {
 
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
-    for (std::size_t l = 0; l < level_plans_.size(); ++l) {
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      const HeteroFlLevel& level = levels_[l];
       const double acc =
-          eval_params(spec_, level_plans_[l], {},
-                      prune_params(global_, spec_, level_plans_[l]), data_.test,
-                      config_.eval_batch, workers);
-      result.level_acc[level_labels_[l]] = acc;
+          eval_params(spec_, level.plan, {}, prune_to_shapes(global_, level.shapes),
+                      data_.test, config_.eval_batch, workers);
+      result.level_acc[level.label] = acc;
       sum += acc;
       if (l == 0) result.final_full_acc = acc;
     }
@@ -205,10 +196,9 @@ class HeteroFlPolicy final : public CohortPolicy {
 
  private:
   const ArchSpec& spec_;
-  const std::vector<WidthPlan>& level_plans_;
-  const std::vector<std::string>& level_labels_;
-  ParamSet global_;
-  std::vector<ClientUpdate> updates_;
+  const std::vector<HeteroFlLevel>& levels_;
+  bool rolling_;
+  ParamSet global_;  // FedRolex*: in the current round's frame
 };
 
 }  // namespace
@@ -243,24 +233,36 @@ RunResult Decoupled::run() {
 HeteroFl::HeteroFl(const ArchSpec& spec, const PoolConfig& pool_config,
                    const FederatedDataset& data, const std::vector<DeviceSim>& devices,
                    FlRunConfig run_config)
-    : spec_(spec), data_(data), devices_(devices), config_(run_config) {
+    : HeteroFl(spec, pool_config, data, devices, std::move(run_config),
+               /*rolling=*/false) {}
+
+HeteroFl::HeteroFl(const ArchSpec& spec, const PoolConfig& pool_config,
+                   const FederatedDataset& data, const std::vector<DeviceSim>& devices,
+                   FlRunConfig run_config, bool rolling)
+    : spec_(spec), data_(data), devices_(devices), config_(run_config), rolling_(rolling) {
   if (devices_.size() != data_.num_clients()) {
-    throw std::invalid_argument("HeteroFl: one device profile per client required");
+    throw std::invalid_argument(std::string(rolling ? "RollingFl" : "HeteroFl") +
+                                ": one device profile per client required");
   }
-  const double ratios[3] = {1.0, pool_config.r_medium, pool_config.r_small};
-  for (double r : ratios) {
-    WidthPlan plan = uniform_plan(spec_, r);
-    level_params_.push_back(arch_stats(spec_, plan).params);
-    level_plans_.push_back(std::move(plan));
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%.2fx", r);
-    level_labels_.emplace_back(buf);
+  for (double r : {1.0, pool_config.r_medium, pool_config.r_small}) {
+    HeteroFlLevel level;
+    char label[16];
+    std::snprintf(label, sizeof(label), "%.2fx", r);
+    level.label = label;
+    level.plan = uniform_plan(spec_, r);
+    level.params = arch_stats(spec_, level.plan).params;
+    level.shapes = model_shapes(spec_, level.plan);
+    levels_.push_back(std::move(level));
   }
 }
 
 RunResult HeteroFl::run() {
-  HeteroFlPolicy policy(spec_, data_, config_, level_plans_, level_labels_,
-                        level_params_);
+  if (rolling_ && (config_.hier ? *config_.hier : hier::HierConfig::from_env()).enabled) {
+    throw std::invalid_argument(
+        "FedRolex* cannot run sharded (hierarchical) rounds: a divergent edge's "
+        "model would keep a stale channel frame");
+  }
+  HeteroFlPolicy policy(spec_, data_, config_, levels_, rolling_);
   return run_policy(config_, &devices_, policy);
 }
 

@@ -1,17 +1,20 @@
 #include "core/scalefl.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
 
 #include "async/engine.hpp"
 #include "core/cohort_policy.hpp"
-#include "fl/aggregate.hpp"
 #include "prune/width_prune.hpp"
 
 namespace afl {
 namespace {
+
+/// Stream tag of the exit heads' init (Rng::derive's second word).
+constexpr std::uint64_t kExitHeadStream = 0x5ca1ef1e;
 
 std::size_t params_of(const ArchSpec& spec, const WidthPlan& plan,
                       const BuildOptions& options) {
@@ -33,8 +36,8 @@ std::vector<std::size_t> level_sizes(const std::vector<ScaleFlLevel>& levels) {
 }
 
 /// ScaleFL as a RoundPolicy: random cohort, level matched to the device's
-/// instantaneous capacity, multi-exit local training with self-distillation,
-/// heterogeneous aggregation.
+/// instantaneous capacity, multi-exit local training with self-distillation;
+/// the run core aggregates its global heterogeneously.
 class ScaleFlPolicy final : public CohortPolicy {
  public:
   ScaleFlPolicy(const ArchSpec& spec, const FederatedDataset& data,
@@ -51,29 +54,27 @@ class ScaleFlPolicy final : public CohortPolicy {
   std::string algorithm_name() const override { return "ScaleFL"; }
 
   void init_global(Rng& rng) override {
-    Model global_model =
-        build_model(spec_, WidthPlan(spec_.num_units(), 1.0), &rng, global_options_);
-    global_ = global_model.export_params();
+    // The body draws from the root RNG exactly as the other baselines' full
+    // init does, so under one seed their cohorts, capacity draws and
+    // availability draws match; the exit heads come from a stream derived
+    // from the seed (Model::params() lists them after the body).
+    global_ = build_full_model(spec_, &rng).export_params();
+    Rng heads_rng = Rng::derive(config_.seed, kExitHeadStream, 0, 0);
+    global_.merge(build_model(spec_, WidthPlan(spec_.num_units(), 1.0), &heads_rng,
+                              global_options_)
+                      .export_params());
   }
 
+  std::vector<ParamSet*> globals() override { return {&global_}; }
+
   ParamSet dispatch_params(const ClientSlot& s) const override {
-    const ScaleFlLevel& level = levels_[s.sent_index];
-    return prune_to_shapes(global_, model_shapes(spec_, level.plan, level.options));
+    return prune_to_shapes(*s.source, levels_[s.sent_index].shapes);
   }
 
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     const ScaleFlLevel& level = levels_[s.back_index];
     return train_client(build_model(spec_, level.plan, nullptr, level.options),
                         local_view(s), data_, s.client, local_, rng);
-  }
-
-  void commit(const ClientSlot&, TrainOutcome outcome) override {
-    updates_.push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void aggregate(std::size_t) override {
-    global_ = hetero_aggregate(global_, updates_);
-    updates_.clear();
   }
 
   void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
@@ -83,13 +84,13 @@ class ScaleFlPolicy final : public CohortPolicy {
     double sum = 0.0;
     for (std::size_t l = 0; l < levels_.size(); ++l) {
       const ScaleFlLevel& level = levels_[l];
-      // Evaluate the level submodel through its own (deepest) classifier.
+      // Evaluate the level submodel through its own (deepest) classifier;
+      // the model ignores the attached heads' tensors.
       BuildOptions eval_options = level.options;
       eval_options.exits.clear();  // attached heads don't affect forward()
-      const double acc = eval_params(
-          spec_, level.plan, eval_options,
-          prune_to_shapes(global_, model_shapes(spec_, level.plan, eval_options)),
-          data_.test, config_.eval_batch, workers);
+      const double acc =
+          eval_params(spec_, level.plan, eval_options, prune_to_shapes(global_, level.shapes),
+                      data_.test, config_.eval_batch, workers);
       result.level_acc[level.label] = acc;
       sum += acc;
       if (l == 0) result.final_full_acc = acc;
@@ -104,7 +105,6 @@ class ScaleFlPolicy final : public CohortPolicy {
   LocalTrainConfig local_;
 
   ParamSet global_;
-  std::vector<ClientUpdate> updates_;
 };
 
 }  // namespace
@@ -166,6 +166,7 @@ ScaleFl::ScaleFl(const ArchSpec& spec, const std::vector<std::size_t>& capacity_
     level.width = chosen;
     level.plan = uniform_plan(spec_, chosen);
     level.params = params_of(spec_, level.plan, level.options);
+    level.shapes = model_shapes(spec_, level.plan, level.options);
     // Width + depth make the label unique even when two levels share a width.
     level.label = width_label(chosen) + "/d" + std::to_string(level.depth);
     levels_.push_back(std::move(level));

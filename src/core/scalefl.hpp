@@ -9,6 +9,7 @@
 // distill from the deepest available exit (temperature-scaled KL).
 
 #include "core/run.hpp"
+#include "prune/width_prune.hpp"
 #include "sim/device.hpp"
 
 namespace afl {
@@ -20,6 +21,7 @@ struct ScaleFlLevel {
   BuildOptions options;    // depth + exits for this level's submodel
   WidthPlan plan;
   std::size_t params = 0;
+  ShapeMap shapes;         // the level's prefix of the global, exits included
 };
 
 class ScaleFl {

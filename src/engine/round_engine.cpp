@@ -25,55 +25,16 @@ using engine::DispatchFailure;
 
 namespace {
 
-/// One aggregation shard of a sharded run. Its partition's updates fold into
-/// the run's root aggregator: straight away in lockstep mode, and through a
-/// round partial that first advances a shard-local model when shard models
-/// diverge between syncs. The fold is exact integer addition, so the root
-/// does not depend on how the clients split across edges.
-class EdgeAggregator {
- public:
-  /// `global` provides the structure snapshot; `track_local_model` is the
-  /// sync_every > 1 mode, where the edge re-finalizes a local model every
-  /// round instead of tracking the root global.
-  EdgeAggregator(const ParamSet& global, bool track_local_model) {
-    if (track_local_model) {
-      round_.emplace(global);
-      model_ = global;
-    }
-  }
-
-  /// Folds one update by rvalue, so no ParamSet is ever duplicated: into the
-  /// round partial when tracking a local model, else into `root`.
-  void add(ClientUpdate&& update, ShardAggregator& root) {
-    (round_ ? *round_ : root).add(std::move(update));
-    ++updates_;
-  }
-
-  /// Shard-local model (only meaningful when tracking one).
-  const ParamSet& model() const { return model_; }
-  /// Resets the local model to a freshly synced global.
-  void set_model(const ParamSet& global) {
-    if (round_) model_ = global;
-  }
-
-  /// Closes the shard's round: when tracking a local model, finalizes the
-  /// round partial into it, merges the partial into `root` and clears it in
-  /// place. Returns the number of updates the round contributed.
-  std::size_t end_round(ShardAggregator& root) {
-    if (round_ && updates_ > 0) {
-      // Elements the shard's clients did not cover keep the shard's
-      // previous value.
-      model_ = finalize_partial(round_->partial(), model_);
-      root.merge(round_->partial());
-      round_->reset();
-    }
-    return std::exchange(updates_, 0);
-  }
-
- private:
-  std::optional<ShardAggregator> round_;  // divergent mode only
-  ParamSet model_;
-  std::size_t updates_ = 0;
+/// One aggregation shard of a run; a flat run is one lockstep edge. Its
+/// partition's updates fold into the run core's root aggregator: straight
+/// away in lockstep mode, and through a round partial that first advances a
+/// shard-local model when shard models diverge between syncs. The fold is
+/// exact integer addition, so the root does not depend on how the clients
+/// split across edges.
+struct Edge {
+  std::optional<ShardAggregator> round;  // divergent mode: this round's updates
+  ParamSet model;                        // divergent mode: the shard's model
+  std::size_t updates = 0;               // folded this round
 };
 
 }  // namespace
@@ -119,15 +80,11 @@ RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>
 }
 
 RunResult RoundEngine::run(RoundPolicy& policy) {
-  HierRoundPolicy* hier_policy = nullptr;
-  if (sharded_) {
-    hier_policy = dynamic_cast<HierRoundPolicy*>(&policy);
-    if (hier_policy == nullptr) {
-      throw std::invalid_argument(
-          "RoundEngine: " + policy.algorithm_name() +
-          " cannot run sharded (hierarchical) rounds: it does not implement "
-          "HierRoundPolicy");
-    }
+  // An edge holds one model and the root folds into one global.
+  if (sharded_ && policy.globals().size() != 1) {
+    throw std::invalid_argument("RoundEngine: " + policy.algorithm_name() +
+                                " cannot run sharded (hierarchical) rounds: it "
+                                "aggregates more than one global");
   }
   const bool divergent = sync_every_ > 1;
   engine::RunCore core(*this, policy,
@@ -164,8 +121,9 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   // Snapshot/resume (docs/POPULATION.md): the engine's section is the run
   // clock, the lifecycle id counter and, sharded, the shard clocks, so round
   // k+1 starts bit-identically to the uninterrupted run. Snapshots are cut
-  // only at root-sync boundaries (every round of a flat run): edge windows
-  // are empty there and every divergent edge model equals the synced global.
+  // only at root-sync boundaries (every round of a flat run): the run core's
+  // aggregators are empty there and every divergent edge model equals the
+  // synced global.
   core.head.write = [&](SnapshotWriter& w) {
     w.f64(core.sim_time);
     w.u64(core.lifecycle.last_id());
@@ -187,22 +145,17 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   };
   const std::size_t start_round = core.resume() + 1;
 
-  // Edges fold the updates of a sharded run; a flat run commits to the
-  // policy instead. Built from the (possibly resumed) global. Elements no
-  // shard covered during a divergent sync window fall through to the global
-  // of the last root sync.
-  std::vector<EdgeAggregator> edges;
-  ParamSet synced_global;
-  // Every edge folds into this one root, which keeps its storage for the
-  // whole run and is cleared in place after each sync.
-  std::optional<ShardAggregator> root;
-  if (sharded_) {
-    root.emplace(hier_policy->hier_global());
-    edges.reserve(shards_);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      edges.emplace_back(hier_policy->hier_global(), divergent);
+  // One edge per shard. A divergent edge's model starts at the (possibly
+  // resumed) global of the sharded run; elements no shard covered during a
+  // divergent sync window fall through to the global of the last root sync,
+  // which the policy holds until the next one.
+  std::vector<Edge> edges(shards_);
+  const ParamSet& global = *policy.globals().front();
+  if (divergent) {
+    for (Edge& edge : edges) {
+      edge.round.emplace(global);
+      edge.model = global;
     }
-    if (divergent) synced_global = hier_policy->hier_global();
   }
 
   for (std::size_t round = start_round; round <= config_.rounds; ++round) {
@@ -235,7 +188,7 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       const std::size_t shard = shard_of(d.slot.client);
       d.shard = sharded_ ? static_cast<int>(shard) : -1;
       // A divergent run ships, and trains on, the owning shard's model.
-      if (divergent) d.slot.source = &edges[shard].model();
+      d.slot.source = divergent ? &edges[shard].model : core.source_of(d.slot);
       // Ids are drawn only while tracing lifecycles: the counter is snapshot
       // state, so time-less runs keep it at 0.
       d.id = core.lifecycle.active() ? core.lifecycle.next_id() : 0;
@@ -261,7 +214,8 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
 
     // Phase 3 (sequential commit): shard-major, slot order within each shard
     // (plain slot order in a flat run): uploads, comm accounting, telemetry,
-    // traces, then the update goes to its edge or to policy.commit().
+    // traces, then the run core folds the update (into its edge's round
+    // partial between divergent syncs).
     // Residual rows are per-client and clients map to exactly one shard, so
     // the shard-major order cannot perturb the compressor's final state.
     const double deadline = transport_.config().round_deadline_s;
@@ -302,12 +256,9 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
         });
         queue_hist.record(d.queue_s);
         train_hist.record(d.exec_s);
-        if (sharded_) {
-          edges[shard].add(ClientUpdate{std::move(d.outcome.params), d.outcome.samples},
-                           *root);
-        } else {
-          policy.commit(s, std::move(d.outcome));
-        }
+        Edge& edge = edges[shard];
+        core.fold(d, /*weight=*/1.0, edge.round ? &*edge.round : nullptr);
+        ++edge.updates;
       }
       round_elapsed_max = std::max(round_elapsed_max, shard_elapsed);
       if (transport_.enabled()) {
@@ -329,30 +280,35 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
           .set(busy / (exec_wall * static_cast<double>(core.pool.size())));
     }
 
-    // Phase 4 (sequential): aggregate — the edge folds plus the root merge
-    // when a sync is due — then the window close.
+    // Phase 4 (sequential): aggregate — the divergent edges advance their
+    // models and merge into the root, and at a sync the root finalizes the
+    // new global — then the window close.
     const bool sync_round = round % sync_every_ == 0 || round == config_.rounds;
     {
       AFL_PROF_SPAN("engine.aggregate");
-      Stopwatch agg_watch;
-      if (!sharded_) {
-        policy.aggregate(round);
-      } else {
-        for (EdgeAggregator& edge : edges) {
-          shard_updates_hist->record(static_cast<double>(edge.end_round(*root)));
+      Stopwatch edge_watch;
+      for (Edge& edge : edges) {
+        if (edge.round && edge.updates > 0) {
+          // Elements the shard's clients did not cover keep the shard's
+          // previous value.
+          edge.model = finalize_partial(edge.round->partial(), edge.model);
+          core.root().merge(edge.round->partial());
+          edge.round->reset();
         }
-        if (sync_round) {
-          // The root holds every shard's updates since the last sync, folded
-          // by exact integer addition, so it does not depend on the shard
-          // count or order; it finalizes against the window's base.
-          Stopwatch merge_watch;
-          const ParamSet& base = divergent ? synced_global : hier_policy->hier_global();
-          hier_policy->hier_set_global(finalize_partial(root->partial(), base));
-          root->reset();
-          if (divergent) {
-            synced_global = hier_policy->hier_global();
-            for (EdgeAggregator& edge : edges) edge.set_model(synced_global);
-          }
+        const std::size_t updates = std::exchange(edge.updates, 0);
+        if (sharded_) shard_updates_hist->record(static_cast<double>(updates));
+      }
+      core.telemetry->add_aggregate_seconds(edge_watch.seconds());
+      if (sync_round) {
+        // The root holds every update since the last sync, folded by exact
+        // integer addition, so it does not depend on the shard count or
+        // order; it finalizes against the global of the last sync.
+        Stopwatch merge_watch;
+        core.aggregate();
+        if (divergent) {
+          for (Edge& edge : edges) edge.model = global;
+        }
+        if (sharded_) {
           syncs_counter->inc();
           merge_hist->record(merge_watch.seconds());
           if (transport_.enabled()) {
@@ -373,7 +329,6 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
           }
         }
       }
-      core.telemetry->add_aggregate_seconds(agg_watch.seconds());
     }
 
     double round_sim = -1.0;
@@ -384,9 +339,8 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
       for (const async::VirtualClock& clock : clocks) now = std::max(now, clock.now());
     }
     // Only sync rounds (every round of a flat run) evaluate, snapshot and
-    // stop: between syncs the root global is stale, and the edge windows
-    // hold un-merged coverage mass that the format deliberately does not
-    // carry.
+    // stop: between syncs the global is stale, and the root holds coverage
+    // mass that the format deliberately does not carry.
     if (core.close_window(round, sync_round, round_sim, now)) return core.finish(round);
   }
   return core.end();

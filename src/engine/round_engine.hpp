@@ -11,8 +11,9 @@
 //                     (engine/dispatch.hpp: accounting, availability,
 //                      downlink, failure booking, on_* feedback hooks)
 //                  -> [parallel]              execute (thread pool)
-//                  -> [sequential, slot order] commit
-//                  -> aggregate -> end_round
+//                  -> [sequential, slot order] fold each update into its
+//                     global's aggregator (the run core, Algorithm 2)
+//                  -> finalize every global -> end_round
 //                  -> evaluate (when due; chunks on the thread pool)
 //
 // Determinism contract: all policy hooks except execute() run on the engine
@@ -20,15 +21,15 @@
 // thread with a private Rng derived from (seed, round, client) — never from
 // the round RNG — so the RunResult is bit-identical for any AFL_THREADS.
 // execute() must therefore be const and touch no mutable shared state
-// (global parameters are frozen between aggregate() calls, so reading them
+// (the globals change only at a sync point, after the wave, so reading them
 // is safe).
 //
 // The per-dispatch steps (accounting, availability, transport, failure
-// booking) are shared with the async engine in engine/dispatch.hpp, the
-// run's start, windows, snapshots and end in engine/telemetry.hpp. Every
-// dispatch is recorded before the availability check, so a device that never
-// responds, or cannot train even the smallest offered submodel, counts as
-// pure waste. With a channel configured (src/net/, docs/NET.md) frames lost
+// booking) are shared with the async engine in engine/dispatch.hpp; the
+// run's start, windows, aggregation, snapshots and end in
+// engine/telemetry.hpp. Every dispatch is recorded before the availability
+// check, so a device that never responds, or cannot train even the smallest
+// offered submodel, counts as pure waste. With a channel configured (src/net/, docs/NET.md) frames lost
 // after all retries, and clients whose round exceeds the deadline
 // (stragglers), are excluded like availability failures; transport streams
 // derive per (seed, round, client), so results stay bit-identical at any
@@ -80,9 +81,10 @@ struct ClientSlot {
   /// received, codec-quantized when the codec is lossy. Null on the identity
   /// path, where local_view() splits the source.
   const ParamSet* rx = nullptr;
-  /// The model dispatch_params() and local_view() split from: null for the
-  /// policy's global, the owning shard's model in a divergent sharded run
-  /// (docs/HIERARCHY.md). Only HierRoundPolicy implementations read it.
+  /// The model dispatch_params() and local_view() split from, set by the
+  /// engine after adapt(): the slot's global (globals()[global_of()]), or
+  /// the owning shard's model in a divergent sharded run
+  /// (docs/HIERARCHY.md).
   const ParamSet* source = nullptr;
 };
 
@@ -143,8 +145,23 @@ class RoundPolicy {
   /// The client is excluded from aggregation like an availability failure.
   virtual void on_transport_failure(const ClientSlot& slot) { (void)slot; }
 
+  /// The parameter sets Algorithm 2 updates, in a fixed order: the run core
+  /// folds every arrived update into the one global_of() names and replaces
+  /// each at the window's sync point (docs/ENGINE.md, "Where aggregation
+  /// runs"). The pointers must stay valid for the run, and their number
+  /// must not depend on init_global(). Most policies have one; Decoupled
+  /// has its three level families.
+  virtual std::vector<ParamSet*> globals() = 0;
+
+  /// Index into globals() of the set `slot` splits from and its update
+  /// folds into.
+  virtual std::size_t global_of(const ClientSlot& slot) const {
+    (void)slot;
+    return 0;
+  }
+
   /// The parameter payload the server ships for this slot: the dispatched
-  /// submodel (sent_index) split from the current global. With a transport
+  /// submodel (sent_index) split from *slot.source. With a transport
   /// the downlink frame carries exactly this, so its bytes are real and a
   /// lossy codec quantizes what the client trains on (via slot.rx). Runs on
   /// the engine thread after adapt(), and in local_view() on a worker.
@@ -164,12 +181,6 @@ class RoundPolicy {
   /// effectively const (no shared-state mutation) and must draw randomness
   /// only from `rng`.
   virtual TrainOutcome execute(const ClientSlot& slot, Rng& rng) const = 0;
-
-  /// Stores the trained update for aggregation. Slot order.
-  virtual void commit(const ClientSlot& slot, TrainOutcome outcome) = 0;
-
-  /// Folds all committed updates into the global model.
-  virtual void aggregate(std::size_t round) = 0;
 
   /// Round-end telemetry (selector entropy etc.).
   virtual void end_round(std::size_t round, RoundTelemetry& telemetry) {
@@ -207,13 +218,13 @@ class RoundPolicy {
 
 /// Extension of RoundPolicy consumed by the async engine (src/async/,
 /// docs/ASYNC.md). The synchronous hooks keep their exact semantics — the
-/// algorithm's selector, RL feedback, pruning, and aggregation code runs
-/// unchanged — but the async engine's continuous dispatch needs three extra
-/// seams: a run-scoped (rather than round-scoped) busy set, because clients
-/// stay in flight across aggregation flushes; weighted commits, because
-/// staleness discounts the update's aggregation weight; and a begin hook
-/// replacing the per-round cohort reset, so begin_round() is never called;
-/// select() runs once per dispatch, whose id is the slot's "round".
+/// algorithm's selector, RL feedback and pruning run unchanged, and the run
+/// core folds each update weighted by its staleness discount — but the
+/// async engine's continuous dispatch needs two extra seams: a run-scoped
+/// (rather than round-scoped) busy set, because clients stay in flight
+/// across aggregation flushes, and a begin hook replacing the per-round
+/// cohort reset, so begin_round() is never called; select() runs once per
+/// dispatch, whose id is the slot's "round".
 class AsyncRoundPolicy : public RoundPolicy {
  public:
   /// Called once before the first dispatch, instead of per-round cohort
@@ -229,28 +240,6 @@ class AsyncRoundPolicy : public RoundPolicy {
   /// stop rule needs to know (docs/ASYNC.md). 0, the default, lets any
   /// capacity answer.
   virtual std::size_t min_trainable_params() const { return 0; }
-
-  /// Stores a trained update whose aggregation weight is scaled by
-  /// `weight_scale` = 1 / (1 + staleness)^alpha. commit() remains the
-  /// synchronous path (weight_scale == 1).
-  virtual void commit_weighted(const ClientSlot& slot, TrainOutcome outcome,
-                               double weight_scale) = 0;
-};
-
-/// Extension consumed by RoundEngine's sharded mode (docs/HIERARCHY.md). A
-/// sharded run plans rounds through the same sequential hooks as a flat one
-/// but owns aggregation itself: per-shard ShardAggregators fold the updates and
-/// the root merge commits the new global, so commit()/aggregate() are never
-/// called. That requires direct access to the policy's global parameter set,
-/// and dispatch_params()/local_view() that split from ClientSlot::source when
-/// it is set (shard models diverge from the root global between syncs).
-class HierRoundPolicy : public AsyncRoundPolicy {
- public:
-  /// The policy's current global parameter set (frozen between syncs).
-  virtual const ParamSet& hier_global() const = 0;
-
-  /// Replaces the global parameter set (the root merge's commit).
-  virtual void hier_set_global(ParamSet global) = 0;
 };
 
 namespace engine {
@@ -290,20 +279,20 @@ class EngineBase {
 /// engine::EngineBase.
 ///
 /// Sharded mode (docs/HIERARCHY.md): an enabled hier config (config.hier or
-/// the AFL_HIER_* environment) partitions the clients across `shards` edge
-/// aggregators by client_id % shards. Each edge folds its partition's updates
-/// into a mergeable coverage-mass partial (fl/shard_aggregator.hpp) on its
-/// own simulated clock; every `sync_every` rounds the partials merge exactly
-/// into the new global model. A flat run (the default, disabled config) is
-/// the one-shard case: one clock, no shard tags, and aggregation through the
-/// policy's own commit()/aggregate(). With sync_every == 1 a sharded run is
-/// bit-identical to the flat run for any shard count and any AFL_THREADS.
+/// the AFL_HIER_* environment) partitions the clients across `shards` edges
+/// by client_id % shards, each on its own simulated clock. Every edge folds
+/// its partition's updates into the run core's root aggregator (through a
+/// shard-local model first when `sync_every` > 1), and every `sync_every`
+/// rounds the root finalizes the new global. A flat run (the default,
+/// disabled config) is one lockstep edge: one clock and no shard tags. With
+/// sync_every == 1 a sharded run is bit-identical to the flat run for any
+/// shard count and any AFL_THREADS.
 class RoundEngine : public engine::EngineBase {
  public:
   RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices);
 
-  /// Throws std::invalid_argument when the config is sharded and `policy` is
-  /// not a HierRoundPolicy.
+  /// Throws std::invalid_argument, naming the algorithm, when the config is
+  /// sharded and `policy` has more than one global.
   RunResult run(RoundPolicy& policy);
 
  private:

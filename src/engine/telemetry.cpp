@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "fl/aggregate.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
@@ -129,6 +130,9 @@ RunCore::RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
     policy.observe_channels(engine.population_->channel_quality());
   }
   policy.init_global(rng);
+  globals_ = policy.globals();
+  aggregators_.reserve(globals_.size());
+  for (const ParamSet* global : globals_) aggregators_.emplace_back(*global);
 }
 
 std::size_t RunCore::resume() {
@@ -222,6 +226,25 @@ double RunCore::train(const std::vector<Dispatch*>& wave, const char* span,
     d.exec_s = item_watch.seconds();
   });
   return wave_watch.seconds();
+}
+
+void RunCore::fold(Dispatch& d, double weight, ShardAggregator* into) {
+  Stopwatch watch;
+  // By rvalue: the aggregator releases the update's tensors once folded.
+  (into != nullptr ? *into : aggregators_[policy_.global_of(d.slot)])
+      .add(ClientUpdate{std::move(d.outcome.params), d.outcome.samples, weight});
+  telemetry->add_aggregate_seconds(watch.seconds());
+}
+
+void RunCore::aggregate() {
+  Stopwatch watch;
+  for (std::size_t g = 0; g < globals_.size(); ++g) {
+    // Every policy's updates are prefixes of its global (Algorithm 2), so
+    // one fold serves them all.
+    *globals_[g] = finalize_aggregate(aggregators_[g], *globals_[g], "hetero");
+    aggregators_[g].reset();
+  }
+  telemetry->add_aggregate_seconds(watch.seconds());
 }
 
 RunResult RunCore::end() {

@@ -1,10 +1,10 @@
 #pragma once
 // The run core shared by the synchronous RoundEngine and the async engine
 // (src/async/engine.*), docs/ENGINE.md "One run core": run start, the
-// snapshot frame, window open and close, the training wave and the run
-// end. Each engine's run() keeps only its schedule. Both engines therefore
-// emit identical run_start / run_end records, so afl-insight can diff their
-// traces.
+// snapshot frame, window open and close, the training wave, Algorithm 2's
+// fold and finalize, and the run end. Each engine's run() keeps only its
+// schedule. Both engines therefore emit identical run_start, aggregate and
+// run_end records, so afl-insight can diff their traces.
 
 #include <cstddef>
 #include <functional>
@@ -17,6 +17,7 @@
 #include "engine/round_engine.hpp"
 #include "engine/run.hpp"
 #include "engine/snapshot.hpp"
+#include "fl/shard_aggregator.hpp"
 #include "nn/checkpoint.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -34,8 +35,9 @@ class RunCore {
   /// Run start: the HTTP server, the run_start record (`shards` and
   /// `sync_every` are kHier's topology columns), the first status, the pool,
   /// the sampled channel quality to policy.observe_channels(), the root RNG
-  /// and policy.init_global(), the lifecycle tracker (active when the run
-  /// models time), the compressor and the dispatcher.
+  /// and policy.init_global(), one aggregator per policy global, the
+  /// lifecycle tracker (active when the run models time), the compressor
+  /// and the dispatcher.
   RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
           std::size_t shards = 0, std::size_t sync_every = 0);
 
@@ -70,6 +72,30 @@ class RunCore {
   double train(const std::vector<Dispatch*>& wave, const char* span,
                const char* client_span);
 
+  /// Algorithm 2's fold (docs/ENGINE.md, "Where aggregation runs"): adds the
+  /// update of `d`, its data-size weight scaled by `weight` (the async
+  /// staleness discount), to the aggregator of its slot's global, or to
+  /// `into` (a divergent edge's round partial), and books the time into the
+  /// window's aggregate seconds.
+  void fold(Dispatch& d, double weight = 1.0, ShardAggregator* into = nullptr);
+
+  /// Algorithm 2's finalize at a sync point: replaces every policy global by
+  /// what its aggregator folded since the last one (finalize_aggregate:
+  /// elements no update covered keep their value, and one `aggregate`
+  /// record per global), clears the aggregators in place, and books the
+  /// time into the window's aggregate seconds.
+  void aggregate();
+
+  /// The global `slot` splits from and folds into, globals()[global_of()]:
+  /// its ClientSlot::source outside a divergent sharded run.
+  const ParamSet* source_of(const ClientSlot& slot) const {
+    return globals_[policy_.global_of(slot)];
+  }
+
+  /// The aggregator of a sharded run's one global: the root every edge
+  /// folds into.
+  ShardAggregator& root() { return aggregators_.front(); }
+
   /// Run end: evaluates the final global when the curve is empty, then
   /// finish(config.rounds).
   RunResult end();
@@ -98,6 +124,10 @@ class RunCore {
   RoundPolicy& policy_;
   RunMode mode_;
   Stopwatch watch_;
+  /// policy.globals(), and one aggregator for each that keeps its storage
+  /// for the whole run.
+  std::vector<ParamSet*> globals_;
+  std::vector<ShardAggregator> aggregators_;
 
   /// Publishes a RunStatus to the live status board, with the lifecycle's
   /// critical-path blame once it is valid.

@@ -19,38 +19,34 @@ obs::Counter& aggregate_updates() {
   return c;
 }
 
-/// Both free functions are single-shard folds over the composable
-/// ShardAggregator (docs/HIERARCHY.md); only the validation mode differs.
-ParamSet fold_updates(const ParamSet& global,
-                      const std::vector<ClientUpdate>& updates,
-                      ShardAggregator::Mode mode) {
-  ShardAggregator agg(global, mode);
-  for (const auto& u : updates) agg.add(u);
+}  // namespace
+
+ParamSet finalize_aggregate(const ShardAggregator& agg, const ParamSet& global,
+                            const char* algo) {
+  AFL_PROF_SPAN("fl.aggregate", &aggregate_hist());
+  obs::TraceSpan span("aggregate");
+  span.field("algo", algo)
+      .field("updates", static_cast<std::uint64_t>(agg.updates()))
+      .field("tensors", static_cast<std::uint64_t>(global.size()));
+  aggregate_updates().inc(agg.updates());
   return finalize_partial(agg.partial(), global);
 }
 
-}  // namespace
+// Both free functions are single-shard folds over the composable
+// ShardAggregator (docs/HIERARCHY.md); only the validation mode differs.
 
 ParamSet fedavg_aggregate(const ParamSet& global,
                           const std::vector<ClientUpdate>& updates) {
-  AFL_PROF_SPAN("fl.aggregate", &aggregate_hist());
-  obs::TraceSpan span("aggregate");
-  span.field("algo", "fedavg")
-      .field("updates", static_cast<std::uint64_t>(updates.size()))
-      .field("tensors", static_cast<std::uint64_t>(global.size()));
-  aggregate_updates().inc(updates.size());
-  return fold_updates(global, updates, ShardAggregator::Mode::kFedAvg);
+  ShardAggregator agg(global, ShardAggregator::Mode::kFedAvg);
+  for (const auto& u : updates) agg.add(u);
+  return finalize_aggregate(agg, global, "fedavg");
 }
 
 ParamSet hetero_aggregate(const ParamSet& global,
                           const std::vector<ClientUpdate>& updates) {
-  AFL_PROF_SPAN("fl.aggregate", &aggregate_hist());
-  obs::TraceSpan span("aggregate");
-  span.field("algo", "hetero")
-      .field("updates", static_cast<std::uint64_t>(updates.size()))
-      .field("tensors", static_cast<std::uint64_t>(global.size()));
-  aggregate_updates().inc(updates.size());
-  return fold_updates(global, updates, ShardAggregator::Mode::kHetero);
+  ShardAggregator agg(global);
+  for (const auto& u : updates) agg.add(u);
+  return finalize_aggregate(agg, global, "hetero");
 }
 
 }  // namespace afl

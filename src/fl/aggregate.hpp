@@ -6,12 +6,16 @@
 // prefix-slice of the corresponding global tensor; each global element is the
 // data-size-weighted mean of the client values covering it, and elements no
 // client covers keep their previous global value.
+// finalize_aggregate: the finalize both share with the engines' run core,
+// which folds each update as it arrives (docs/ENGINE.md).
 
 #include <vector>
 
 #include "nn/param.hpp"
 
 namespace afl {
+
+class ShardAggregator;
 
 struct ClientUpdate {
   ParamSet params;
@@ -32,5 +36,13 @@ ParamSet fedavg_aggregate(const ParamSet& global,
 /// must be a dimension-wise prefix of the global tensor.
 ParamSet hetero_aggregate(const ParamSet& global,
                           const std::vector<ClientUpdate>& updates);
+
+/// Algorithm 2's finalize of everything `agg` folded (finalize_partial
+/// against `global`) under the telemetry of every aggregation: the
+/// `aggregate` trace record (`algo`, `updates`, `tensors`), the
+/// fl.aggregate span (afl.fl.aggregate.seconds) and
+/// afl.fl.aggregate.updates. Returns the new global parameters.
+ParamSet finalize_aggregate(const ShardAggregator& agg, const ParamSet& global,
+                            const char* algo);
 
 }  // namespace afl

@@ -1,189 +1,48 @@
 #include "prune/rolling.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace afl {
 namespace {
 
-std::size_t conv_out_dim(std::size_t in, std::size_t kernel, std::size_t stride,
-                         std::size_t pad) {
-  return (in + 2 * pad - kernel) / stride + 1;
-}
-
-/// Index sets for one named parameter: which rows (dim 0) and columns (dim 1)
-/// of the global tensor the client tensor maps to. Empty set = full dimension
-/// (identity mapping).
-struct DimSets {
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> cols;
-};
-
-/// The classifier input may be a flattened [C, H, W] volume: each kept
-/// channel contributes a contiguous block of `spatial` feature indices.
-std::vector<std::size_t> expand_channels(const std::vector<std::size_t>& channels,
-                                         std::size_t spatial) {
-  std::vector<std::size_t> out;
-  out.reserve(channels.size() * spatial);
-  for (std::size_t c : channels) {
-    for (std::size_t s = 0; s < spatial; ++s) out.push_back(c * spatial + s);
+/// Rotates every run of `run` consecutive elements of `t` left by `shift`.
+void rotate_runs(Tensor& t, std::size_t run, std::size_t shift) {
+  if (shift == 0) return;
+  for (float* p = t.data(); p != t.data() + t.numel(); p += run) {
+    std::rotate(p, p + shift, p + run);
   }
-  return out;
-}
-
-/// Per-parameter index sets for the whole spec under `plan`.
-std::map<std::string, DimSets> index_map(const ArchSpec& spec, const RollingPlan& plan) {
-  std::map<std::string, DimSets> sets;
-  std::size_t h = spec.in_h, w = spec.in_w;
-  bool spatial_domain = true;
-  std::vector<std::size_t> in_set;  // empty = full input dimension
-  for (std::size_t j = 0; j < spec.num_units(); ++j) {
-    const Unit& u = spec.units[j];
-    const std::string name = ArchSpec::unit_name(j + 1);
-    const std::vector<std::size_t>& out_set = plan.unit_channels[j];
-    switch (u.kind) {
-      case UnitKind::kConv: {
-        sets[name + ".w"] = {out_set, in_set};
-        sets[name + ".b"] = {out_set, {}};
-        h = conv_out_dim(h, u.kernel, u.stride, u.pad);
-        w = conv_out_dim(w, u.kernel, u.stride, u.pad);
-        if (u.maxpool_after) {
-          h /= 2;
-          w /= 2;
-        }
-        break;
-      }
-      case UnitKind::kLinear: {
-        std::vector<std::size_t> lin_in = in_set;
-        if (spatial_domain && !spec.gap_before_classifier && !in_set.empty()) {
-          lin_in = expand_channels(in_set, h * w);
-        }
-        sets[name + ".w"] = {out_set, lin_in};
-        sets[name + ".b"] = {out_set, {}};
-        spatial_domain = false;
-        break;
-      }
-      default:
-        throw std::invalid_argument(
-            "rolling: only conv/dense architectures are supported");
-    }
-    in_set = out_set;
-  }
-  std::vector<std::size_t> cls_in = in_set;
-  if (spatial_domain && !spec.gap_before_classifier && !in_set.empty()) {
-    cls_in = expand_channels(in_set, h * w);
-  }
-  sets["cls.w"] = {{}, cls_in};  // classifier rows (classes) never pruned
-  sets["cls.b"] = {{}, {}};
-  return sets;
-}
-
-std::size_t dim_index(const std::vector<std::size_t>& set, std::size_t i) {
-  return set.empty() ? i : set[i];
-}
-
-std::size_t dim_size(const std::vector<std::size_t>& set, std::size_t full) {
-  return set.empty() ? full : set.size();
 }
 
 }  // namespace
 
-RollingPlan make_rolling_plan(const ArchSpec& spec, double ratio, std::size_t round) {
-  RollingPlan plan;
-  plan.ratio = ratio;
-  plan.unit_channels.resize(spec.num_units());
-  for (std::size_t j = 0; j < spec.num_units(); ++j) {
-    const Unit& u = spec.units[j];
+void roll_channels(ParamSet& params, const ArchSpec& spec, long long steps) {
+  for (const Unit& u : spec.units) {
     if (u.kind != UnitKind::kConv && u.kind != UnitKind::kLinear) {
-      throw std::invalid_argument("rolling: only conv/dense architectures supported");
+      throw std::invalid_argument("roll_channels: only conv/dense architectures are supported");
     }
-    const std::size_t base = u.out_c;
-    const std::size_t keep = scaled_width(base, ratio);
-    auto& set = plan.unit_channels[j];
-    set.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) set.push_back((round + i) % base);
   }
-  return plan;
-}
-
-ParamSet rolling_extract(const ParamSet& global, const ArchSpec& spec,
-                         const RollingPlan& plan) {
-  const auto sets = index_map(spec, plan);
-  ParamSet out;
-  for (const auto& [name, ds] : sets) {
-    auto it = global.find(name);
-    if (it == global.end()) {
-      throw std::invalid_argument("rolling_extract: missing parameter " + name);
-    }
-    const Tensor& g = it->second;
-    Shape shape = g.shape();
-    shape[0] = dim_size(ds.rows, shape[0]);
-    std::size_t tail = 1;  // product of dims >= 2 (copied whole)
-    if (g.rank() >= 2) {
-      shape[1] = dim_size(ds.cols, g.shape()[1]);
-      for (std::size_t d = 2; d < g.rank(); ++d) tail *= g.shape()[d];
-    }
-    Tensor t(shape);
-    const std::size_t cols = g.rank() >= 2 ? shape[1] : 1;
-    const std::size_t g_cols = g.rank() >= 2 ? g.shape()[1] : 1;
-    for (std::size_t r = 0; r < shape[0]; ++r) {
-      const std::size_t gr = dim_index(ds.rows, r);
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::size_t gc = g.rank() >= 2 ? dim_index(ds.cols, c) : 0;
-        const float* src = g.data() + (gr * g_cols + gc) * tail;
-        float* dst = t.data() + (r * cols + c) * tail;
-        for (std::size_t k = 0; k < tail; ++k) dst[k] = src[k];
-      }
-    }
-    out.emplace(name, std::move(t));
+  std::size_t in_width = spec.in_channels;
+  std::size_t in_roll = 0;  // the previous unit's roll
+  // A weight row holds `in_width` equal blocks, one per input channel.
+  const auto roll_inputs = [&](Tensor& w) {
+    const std::size_t row = w.numel() / w.shape()[0];
+    rotate_runs(w, row, in_roll * (row / in_width));
+  };
+  for (std::size_t j = 0; j < spec.num_units(); ++j) {
+    const std::string name = ArchSpec::unit_name(j + 1);
+    Tensor& w = params.at(name + ".w");
+    Tensor& b = params.at(name + ".b");
+    const long long width = static_cast<long long>(spec.units[j].out_c);
+    const std::size_t roll = static_cast<std::size_t>((steps % width + width) % width);
+    roll_inputs(w);
+    rotate_runs(w, w.numel(), roll * (w.numel() / w.shape()[0]));
+    rotate_runs(b, b.numel(), roll);
+    in_width = spec.units[j].out_c;
+    in_roll = roll;
   }
-  return out;
-}
-
-ParamSet rolling_aggregate(const ParamSet& global, const ArchSpec& spec,
-                           const std::vector<RollingUpdate>& updates) {
-  ParamSet out;
-  std::vector<double> acc, cover;
-  // Precompute each update's index map once.
-  std::vector<std::map<std::string, DimSets>> maps;
-  maps.reserve(updates.size());
-  for (const auto& u : updates) maps.push_back(index_map(spec, u.plan));
-
-  for (const auto& [name, g] : global) {
-    acc.assign(g.numel(), 0.0);
-    cover.assign(g.numel(), 0.0);
-    const std::size_t g_cols = g.rank() >= 2 ? g.shape()[1] : 1;
-    std::size_t tail = 1;
-    for (std::size_t d = 2; d < g.rank(); ++d) tail *= g.shape()[d];
-    for (std::size_t ui = 0; ui < updates.size(); ++ui) {
-      auto mit = maps[ui].find(name);
-      if (mit == maps[ui].end()) continue;
-      auto pit = updates[ui].params.find(name);
-      if (pit == updates[ui].params.end()) continue;
-      const Tensor& t = pit->second;
-      const DimSets& ds = mit->second;
-      const double weight = static_cast<double>(updates[ui].data_size);
-      const std::size_t rows = t.shape()[0];
-      const std::size_t cols = t.rank() >= 2 ? t.shape()[1] : 1;
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t gr = dim_index(ds.rows, r);
-        for (std::size_t c = 0; c < cols; ++c) {
-          const std::size_t gc = t.rank() >= 2 ? dim_index(ds.cols, c) : 0;
-          const float* src = t.data() + (r * cols + c) * tail;
-          const std::size_t goff = (gr * g_cols + gc) * tail;
-          for (std::size_t k = 0; k < tail; ++k) {
-            acc[goff + k] += static_cast<double>(src[k]) * weight;
-            cover[goff + k] += weight;
-          }
-        }
-      }
-    }
-    Tensor t(g.shape());
-    for (std::size_t i = 0; i < g.numel(); ++i) {
-      t[i] = cover[i] > 0.0 ? static_cast<float>(acc[i] / cover[i]) : g[i];
-    }
-    out.emplace(name, std::move(t));
-  }
-  return out;
+  roll_inputs(params.at("cls.w"));
 }
 
 }  // namespace afl

@@ -1,50 +1,31 @@
 #pragma once
-// Rolling-window sub-model extraction (FedRolex-style; Alam et al.,
-// NeurIPS'22) — the main published alternative to the paper's fixed-prefix
-// width pruning. Instead of always training the first `w` channels of each
-// layer, the channel window starts at a per-round offset and wraps around, so
-// every parameter of the global model is trained eventually.
+// Rolling-window sub-models (FedRolex-style; Alam et al., NeurIPS'22) — the
+// main published alternative to the paper's fixed-prefix width pruning.
+// Instead of always training the first `w` channels of each layer, the
+// round-r window of a unit of width n keeps channels
+// {(r + i) mod n : i < w}, so every parameter of the global model is
+// trained eventually.
 //
-// This module exists as a design-choice ablation (see DESIGN.md §6 and
-// bench/bench_ablation_rolling.cpp). It supports plain conv/dense
-// architectures (every unit kConv or kLinear, e.g. mini_vgg); residual
-// families would need matched index sets across shortcut paths and are out of
-// scope for the ablation.
-
-#include <vector>
+// That window is exactly the width-pruned prefix of the global whose
+// channels are rolled left by r, so FedRolex* runs HeteroFL on a global
+// rolled one step per round (core/baselines.hpp) and needs no gather or
+// scatter of its own. It is a design-choice ablation (DESIGN.md §6,
+// bench/bench_ablation_rolling.cpp) for plain conv/dense architectures
+// (every unit kConv or kLinear, e.g. mini_vgg); residual families would need
+// matched index sets across shortcut paths.
 
 #include "arch/spec.hpp"
 #include "nn/param.hpp"
 
 namespace afl {
 
-/// Per-unit channel-index windows (and the derived per-parameter row/column
-/// index sets).
-struct RollingPlan {
-  double ratio = 1.0;
-  /// Channel indices kept for each unit's output dimension.
-  std::vector<std::vector<std::size_t>> unit_channels;
-};
-
-/// Builds the plan for `round`: unit j keeps indices
-/// {(round + i) mod base_width : i < scaled_width(base_width, ratio)}.
-/// Requires every unit to be kConv or kLinear.
-RollingPlan make_rolling_plan(const ArchSpec& spec, double ratio, std::size_t round);
-
-/// Gathers the client-side parameter set from the global set.
-ParamSet rolling_extract(const ParamSet& global, const ArchSpec& spec,
-                         const RollingPlan& plan);
-
-struct RollingUpdate {
-  RollingPlan plan;
-  ParamSet params;
-  std::size_t data_size = 0;
-};
-
-/// Scatter-accumulate aggregation: the rolling analogue of Algorithm 2.
-/// Covered elements become the data-weighted mean of covering clients;
-/// uncovered elements keep their previous global values.
-ParamSet rolling_aggregate(const ParamSet& global, const ArchSpec& spec,
-                           const std::vector<RollingUpdate>& updates);
+/// Rolls every unit's output channels left by `steps` mod its width, so
+/// channel c takes the values of channel (c + steps) mod width, and the
+/// next layer's matching input channels with them: kernel taps, or H·W
+/// blocks of features after a flatten. Classifier rows stay. A negative
+/// `steps` rolls right, so a roll by -r undoes a roll by r. Throws
+/// std::invalid_argument, before touching `params`, unless every unit of
+/// `spec` is kConv or kLinear.
+void roll_channels(ParamSet& params, const ArchSpec& spec, long long steps);
 
 }  // namespace afl

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "core/experiment.hpp"
-#include "core/rolling_fl.hpp"
+#include "obs/trace.hpp"
 
 namespace afl {
 namespace {
@@ -133,27 +137,138 @@ TEST(Baselines, EveryAlgorithmWithAFleetRunsUnderThePopulation) {
   std::remove(trace.c_str());
 }
 
+/// The unsigned number after `"key":` in a trace line.
+std::uint64_t trace_u64(const std::string& line, const std::string& key) {
+  return std::stoull(line.substr(line.find("\"" + key + "\":") + key.size() + 3));
+}
+
+/// (round, client) of every dispatch of a traced run with a transport, in
+/// the order the engine planned them: by lifecycle id.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> planned_dispatches(const std::string& path) {
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> by_id;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"phase\":\"select\"") == std::string::npos) continue;
+    by_id[trace_u64(line, "dispatch")] = {trace_u64(line, "round"), trace_u64(line, "client")};
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> plan;
+  for (const auto& [id, dispatch] : by_id) plan.push_back(dispatch);
+  return plan;
+}
+
+TEST(Baselines, OneCohortScheduleUnderOneSeed) {
+  // After init_global() every baseline with a fleet leaves the root RNG in
+  // the same state (ScaleFL's exit heads draw from a stream of their own),
+  // so under one seed the cohorts, capacity draws and availability draws
+  // match: each dispatches the same client in every (round, slot).
+  ExperimentConfig cfg = tiny_config();
+  cfg.rounds = 3;
+  cfg.capacity_jitter = 0.25;
+  cfg.availability = 0.7;
+  ExperimentEnv env = make_env(cfg);
+  env.run.net = net::NetConfig{};
+  env.run.net->enabled = true;  // lifecycle ids number the dispatches in slot order
+  const std::string path = ::testing::TempDir() + "baselines_cohorts.jsonl";
+  const auto schedule = [&](const auto& run) {
+    obs::set_trace_path(path);
+    run();
+    obs::set_trace_path("");
+    return planned_dispatches(path);
+  };
+  const auto decoupled = schedule([&] { run_algorithm(Algorithm::kDecoupled, env); });
+  ASSERT_EQ(decoupled.size(), cfg.rounds * cfg.clients_per_round);
+  for (Algorithm a : {Algorithm::kHeteroFl, Algorithm::kScaleFl}) {
+    EXPECT_EQ(schedule([&] { run_algorithm(a, env); }), decoupled) << algorithm_name(a);
+  }
+  EXPECT_EQ(schedule([&] {
+              RollingFl(env.spec, env.pool_config, env.data, env.devices, env.run).run();
+            }),
+            decoupled)
+      << "FedRolex*";
+  std::remove(path.c_str());
+}
+
+/// Every RunResult field a run's wall clock does not touch, bit for bit.
+void expect_same_result(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.failed_trainings, b.failed_trainings);
+  EXPECT_EQ(a.comm.params_sent(), b.comm.params_sent());
+  EXPECT_EQ(a.comm.params_returned(), b.comm.params_returned());
+  EXPECT_EQ(a.level_acc, b.level_acc);
+  EXPECT_EQ(a.final_full_acc, b.final_full_acc);
+  EXPECT_EQ(a.final_avg_acc, b.final_avg_acc);
+  ASSERT_EQ(a.curve.size(), b.curve.size());
+  for (std::size_t i = 0; i < a.curve.size(); ++i) {
+    EXPECT_EQ(a.curve[i].round, b.curve[i].round);
+    EXPECT_EQ(a.curve[i].full_acc, b.curve[i].full_acc) << "point " << i;
+    EXPECT_EQ(a.curve[i].avg_acc, b.curve[i].avg_acc) << "point " << i;
+    EXPECT_EQ(a.curve[i].comm_waste, b.curve[i].comm_waste) << "point " << i;
+  }
+  ASSERT_EQ(a.round_metrics.size(), b.round_metrics.size());
+  for (std::size_t i = 0; i < a.round_metrics.size(); ++i) {
+    EXPECT_EQ(a.round_metrics[i].clients_ok, b.round_metrics[i].clients_ok) << "round " << i;
+    EXPECT_EQ(a.round_metrics[i].clients_failed, b.round_metrics[i].clients_failed)
+        << "round " << i;
+  }
+}
+
+ExperimentEnv sharded(ExperimentEnv env, std::size_t shards, std::size_t sync_every) {
+  env.run.hier = hier::HierConfig{};
+  env.run.hier->enabled = true;
+  env.run.hier->shards = shards;
+  env.run.hier->sync_every = sync_every;
+  return env;
+}
+
+TEST(Baselines, ShardedAtSyncEveryOneMatchesFlat) {
+  // The root folds every edge's updates by exact integer addition, so a
+  // sharded run that syncs every round is the flat run, whatever the shard
+  // and thread counts.
+  ExperimentConfig cfg = tiny_config();
+  cfg.rounds = 3;
+  cfg.capacity_jitter = 0.25;  // the stochastic paths draw from the round RNG
+  cfg.availability = 0.8;
+  ExperimentEnv env = make_env(cfg);
+  for (Algorithm a : {Algorithm::kAllLarge, Algorithm::kHeteroFl, Algorithm::kScaleFl}) {
+    env.run.threads = 1;
+    const RunResult flat = run_algorithm(a, env);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
+        SCOPED_TRACE(std::string(algorithm_name(a)) + ", " + std::to_string(shards) +
+                     " shards, " + std::to_string(threads) + " threads");
+        env.run.threads = threads;
+        expect_same_result(run_algorithm(a, sharded(env, shards, 1)), flat);
+      }
+    }
+  }
+}
+
 TEST(Baselines, AsyncOrHierarchicalRunThrowsNamingTheAlgorithm) {
-  // Only AdaptiveFL implements the async and sharded policy seams; a
-  // baseline asked for either refuses before training, naming itself.
+  // Only AdaptiveFL implements the async policy seam, so a baseline asked to
+  // run asynchronously refuses before training, naming itself. Decoupled's
+  // three globals cannot share one root, and FedRolex*'s divergent edge
+  // models would keep a stale channel frame, so both refuse sharded runs.
   ExperimentEnv async_env = make_env(tiny_config());
   async_env.run.async = async::AsyncConfig{};
   async_env.run.async->enabled = true;
-  ExperimentEnv hier_env = make_env(tiny_config());
-  hier_env.run.hier = hier::HierConfig{};
-  hier_env.run.hier->enabled = true;
-  for (const ExperimentEnv* env : {&async_env, &hier_env}) {
-    for (Algorithm a : {Algorithm::kAllLarge, Algorithm::kDecoupled, Algorithm::kHeteroFl,
-                        Algorithm::kScaleFl}) {
-      try {
-        run_algorithm(a, *env);
-        ADD_FAILURE() << algorithm_name(a) << " ran";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(algorithm_name(a)), std::string::npos) << e.what();
-      }
+  ExperimentEnv hier_env = sharded(make_env(tiny_config()), 2, 1);
+  const auto expect_refusal = [](const std::string& name, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << name << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
     }
-    EXPECT_THROW(RollingFl(env->spec, env->pool_config, env->data, env->devices, env->run).run(),
-                 std::invalid_argument);
+  };
+  for (Algorithm a : {Algorithm::kAllLarge, Algorithm::kDecoupled, Algorithm::kHeteroFl,
+                      Algorithm::kScaleFl}) {
+    expect_refusal(algorithm_name(a), [&] { run_algorithm(a, async_env); });
+  }
+  expect_refusal("Decoupled", [&] { run_algorithm(Algorithm::kDecoupled, hier_env); });
+  for (const ExperimentEnv* env : {&async_env, &hier_env}) {
+    expect_refusal("FedRolex*", [&] {
+      RollingFl(env->spec, env->pool_config, env->data, env->devices, env->run).run();
+    });
   }
 }
 

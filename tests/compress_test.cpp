@@ -15,8 +15,8 @@
 
 #include "compress/compressor.hpp"
 #include "compress/residual.hpp"
+#include "core/baselines.hpp"
 #include "core/experiment.hpp"
-#include "core/rolling_fl.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"

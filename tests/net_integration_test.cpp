@@ -12,8 +12,8 @@
 #include <sstream>
 #include <string>
 
+#include "core/baselines.hpp"
 #include "core/experiment.hpp"
-#include "core/rolling_fl.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
 #include "pop/config.hpp"
