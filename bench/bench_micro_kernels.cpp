@@ -49,17 +49,45 @@ void run_gemm(benchmark::State& state, GemmFn kernel) {
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
+// AdaptiveFL's width-pruned pool entries train MiniVGG's conv layers at 13,
+// 21, 26 and 42 output channels, at batch 25 (training) and 16 (evaluation
+// chunks), on 6 x 6 and 3 x 3 planes: every one of these shapes has a partial
+// row tile (m mod 4 != 0) or a partial column tile (n mod 32 != 0), the
+// edges the whole-tile shapes above never reach.
+void pruned_forward(benchmark::internal::Benchmark* b) {
+  for (long batch : {25, 16}) {
+    b->Args({13, 144, batch * 36})->Args({21, 189, batch * 36});
+    b->Args({26, 234, batch * 9})->Args({42, 378, batch * 9});
+  }
+}
+void pruned_input_grad(benchmark::internal::Benchmark* b) {
+  for (long batch : {25, 16}) {
+    b->Args({144, 13, batch * 36})->Args({189, 21, batch * 36});
+    b->Args({234, 26, batch * 9})->Args({378, 42, batch * 9});
+  }
+}
+void pruned_weight_grad(benchmark::internal::Benchmark* b) {
+  for (long batch : {25, 16}) {
+    b->Args({13, batch * 36, 144})->Args({21, batch * 36, 189});
+    b->Args({26, batch * 9, 234})->Args({42, batch * 9, 378});
+  }
+}
+
 void BM_Gemm(benchmark::State& state) { run_gemm(state, gemm); }
-BENCHMARK(BM_Gemm)->Args({16, 144, 2880})->Args({64, 576, 720})->Args({64, 256, 64});
+BENCHMARK(BM_Gemm)
+    ->Args({16, 144, 2880})
+    ->Args({64, 576, 720})
+    ->Args({64, 256, 64})
+    ->Apply(pruned_forward);
 
 // MiniVGG's conv backward on 12x12 inputs at batch 25, second and last conv:
 // gemm_at is grad_cols[CKK, B*S] = W^T * gout, gemm_bt is gW[OC, CKK] =
 // gout * cols^T.
 void BM_GemmAt(benchmark::State& state) { run_gemm(state, gemm_at); }
-BENCHMARK(BM_GemmAt)->Args({144, 16, 3600})->Args({576, 64, 225});
+BENCHMARK(BM_GemmAt)->Args({144, 16, 3600})->Args({576, 64, 225})->Apply(pruned_input_grad);
 
 void BM_GemmBt(benchmark::State& state) { run_gemm(state, gemm_bt); }
-BENCHMARK(BM_GemmBt)->Args({16, 3600, 144})->Args({64, 225, 576});
+BENCHMARK(BM_GemmBt)->Args({16, 3600, 144})->Args({64, 225, 576})->Apply(pruned_weight_grad);
 
 void BM_Im2Col(benchmark::State& state) {
   const ConvGeom g{static_cast<std::size_t>(state.range(0)), 12, 12, 3, 1, 1};
@@ -73,6 +101,23 @@ void BM_Im2Col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2Col)->Arg(3)->Arg(16)->Arg(64);
+
+// Args are {channels, plane}: the input gradient of a pruned layer's conv,
+// one sample (the 3 x 3 'same' geometry of every MiniVGG conv).
+void BM_Col2Im(benchmark::State& state) {
+  const std::size_t plane = static_cast<std::size_t>(state.range(1));
+  const ConvGeom g{static_cast<std::size_t>(state.range(0)), plane, plane, 3, 1, 1};
+  Rng rng(12);
+  std::vector<float> cols(g.col_rows() * g.col_cols());
+  for (auto& v : cols) v = static_cast<float>(rng.normal());
+  std::vector<float> img(g.channels * g.height * g.width);
+  for (auto _ : state) {
+    col2im(cols.data(), g, img.data());
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Col2Im)->Args({16, 12})->Args({21, 6})->Args({42, 3});
 
 void BM_ConvForward(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "arch/stats.hpp"
 #include "nn/activation.hpp"
@@ -60,14 +61,27 @@ Model build_model(const ArchSpec& spec, const WidthPlan& plan, Rng* init_rng,
     const std::size_t out_c = widths[j];
     const std::string name = ArchSpec::unit_name(j + 1);
     std::size_t last = 0;
+    // A window of `kernel` (with `pad` on each side) must fit the plane the
+    // unit receives, or the layer's output size would wrap.
+    const auto require_fit = [&](std::size_t kernel, std::size_t pad, const char* what) {
+      if (h + 2 * pad < kernel || w + 2 * pad < kernel || h == 0 || w == 0) {
+        throw std::invalid_argument(
+            "build_model: " + spec.name + " unit " + name + ": " + what + " window " +
+            std::to_string(kernel) + "x" + std::to_string(kernel) + " (pad " +
+            std::to_string(pad) + ") does not fit its " + std::to_string(h) + "x" +
+            std::to_string(w) + " input plane");
+      }
+    };
     switch (u.kind) {
       case UnitKind::kConv: {
+        require_fit(u.kernel, u.pad, "conv");
         model.append(name,
                      std::make_unique<Conv2D>(in_c, out_c, u.kernel, u.stride, u.pad));
         last = model.append(name + ".relu", std::make_unique<ReLU>());
         h = conv_out_dim(h, u.kernel, u.stride, u.pad);
         w = conv_out_dim(w, u.kernel, u.stride, u.pad);
         if (u.maxpool_after) {
+          require_fit(2, 0, "max pool");
           last = model.append(name + ".pool", std::make_unique<MaxPool2D>());
           h /= 2;
           w /= 2;
@@ -75,6 +89,7 @@ Model build_model(const ArchSpec& spec, const WidthPlan& plan, Rng* init_rng,
         break;
       }
       case UnitKind::kBasicBlock: {
+        require_fit(3, 1, "block");
         if (!u.projection && out_c > in_c) {
           throw std::invalid_argument(
               "build_model: identity-shortcut block widens channels in " + spec.name);
@@ -86,6 +101,7 @@ Model build_model(const ArchSpec& spec, const WidthPlan& plan, Rng* init_rng,
         break;
       }
       case UnitKind::kInvertedResidual: {
+        require_fit(3, 1, "block");
         const std::size_t base_in =
             (j == 0) ? spec.in_channels : spec.units[j - 1].out_c;
         const std::size_t hidden = scaled_width(

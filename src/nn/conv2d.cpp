@@ -8,9 +8,9 @@
 namespace afl {
 
 // The whole batch is lowered into one column matrix cols[CKK, B*S] so each
-// pass is a single large GEMM rather than B small ones — the hot path on the
-// single-core substrate. The column matrix is cached between forward and
-// backward in train mode.
+// pass is a single large GEMM rather than B small ones: the hot path of local
+// training, which each engine worker runs on its own layers. The column
+// matrix is cached between forward and backward in train mode.
 
 Conv2D::Conv2D(std::size_t in_c, std::size_t out_c, std::size_t kernel,
                std::size_t stride, std::size_t pad, bool bias)
@@ -29,6 +29,12 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
   if (x.rank() != 4 || x.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2D: bad input shape " + shape_to_string(x.shape()) +
                                 " for in_c=" + std::to_string(in_c_));
+  }
+  if (x.dim(2) + 2 * pad_ < kernel_ || x.dim(3) + 2 * pad_ < kernel_) {
+    throw std::invalid_argument("Conv2D: " + std::to_string(kernel_) + "x" +
+                                std::to_string(kernel_) + " kernel with pad " +
+                                std::to_string(pad_) + " does not fit input " +
+                                shape_to_string(x.shape()));
   }
   const std::size_t n = x.dim(0);
   const ConvGeom g{in_c_, x.dim(2), x.dim(3), kernel_, stride_, pad_};

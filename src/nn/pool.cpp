@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace afl {
 
@@ -11,6 +12,11 @@ MaxPool2D::MaxPool2D(std::size_t kernel, std::size_t stride)
 Tensor MaxPool2D::forward(const Tensor& x, bool train) {
   if (x.rank() != 4) throw std::invalid_argument("MaxPool2D: rank-4 input required");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  if (h < kernel_ || w < kernel_) {
+    throw std::invalid_argument("MaxPool2D: " + std::to_string(kernel_) + "x" +
+                                std::to_string(kernel_) + " kernel does not fit input " +
+                                shape_to_string(x.shape()));
+  }
   const std::size_t oh = (h - kernel_) / stride_ + 1;
   const std::size_t ow = (w - kernel_) / stride_ + 1;
   Tensor out({n, c, oh, ow});

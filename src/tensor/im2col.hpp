@@ -23,13 +23,19 @@ struct ConvGeom {
   std::size_t out_w() const { return (width + 2 * pad - kernel) / stride + 1; }
   std::size_t col_rows() const { return channels * kernel * kernel; }
   std::size_t col_cols() const { return out_h() * out_w(); }
+
+  bool operator==(const ConvGeom&) const = default;
 };
 
 /// Expand image [C, H, W] into columns [C*KH*KW, OH*OW].
 void im2col(const float* image, const ConvGeom& g, float* cols);
 
-/// Scatter-add columns back into an image buffer (used for input gradients).
+/// Add columns back into an image buffer (used for input gradients).
 /// `image` must be zeroed by the caller (or hold values to accumulate into).
+/// Order contract: each pixel adds the entries that read it in row order
+/// (c, ky, kx), one after another onto the caller's value, so the result is
+/// that of the plain scatter loop over rows, then outputs, bit for bit
+/// (gemm_test's LoweringProperty pins it against that loop).
 void col2im(const float* cols, const ConvGeom& g, float* image);
 
 /// As im2col, but row r of the output lands at cols[r * row_stride + col0].

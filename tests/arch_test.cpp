@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "arch/build.hpp"
 #include "arch/stats.hpp"
 #include "arch/zoo.hpp"
@@ -7,6 +10,30 @@
 
 namespace afl {
 namespace {
+
+// MiniVGG pools three times, so a plane below 8 pixels reaches a pool with a
+// 1 x 1 plane (VGG16 pools five times); the parent built such a model and
+// its forward pass crashed.
+TEST(BuildModel, RejectsAnInputTooSmallForTheNetwork) {
+  for (std::size_t hw : {3, 4, 5, 6, 7}) {
+    SCOPED_TRACE(hw);
+    EXPECT_THROW(build_full_model(mini_vgg(10, 3, hw)), std::invalid_argument);
+  }
+  EXPECT_THROW(build_full_model(vgg16(10, 3, 16)), std::invalid_argument);
+  try {
+    build_full_model(mini_vgg(10, 3, 4));
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mini_vgg"), std::string::npos) << what;
+    EXPECT_NE(what.find("unit"), std::string::npos) << what;
+    EXPECT_NE(what.find("1x1"), std::string::npos) << what;
+  }
+  Rng rng(8);
+  Model model = build_full_model(mini_vgg(10, 3, 8), &rng);
+  const Tensor logits = model.forward(Tensor::randn({2, 3, 8, 8}, rng), false);
+  EXPECT_EQ(logits.shape(), (Shape{2, 10}));
+}
 
 TEST(WidthPlan, DeepPlanShape) {
   ArchSpec spec = mini_vgg();

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "async/config.hpp"
 #include "core/experiment.hpp"
 #include "hier/config.hpp"
@@ -280,6 +282,44 @@ TEST(EngineDeterminism, TraceRecordSequenceIdenticalAcrossRunsAndThreadCounts) {
       }
     }
   }
+}
+
+// The engine keeps freed training buffers in the process (EngineBase sets
+// glibc's trim and mmap thresholds), so a run whose clients allocate what
+// the previous run's clients freed takes almost no page faults. With glibc's
+// defaults the heap top was trimmed and the column buffers unmapped between
+// clients, and the second run faulted every client's working set in again.
+TEST(EngineAllocator, SecondRunReusesFreedTrainingMemory) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "a sanitizer replaces the allocator";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "a sanitizer replaces the allocator";
+#endif
+#endif
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the allocator policy is glibc's";
+#else
+  ExperimentConfig cfg;
+  cfg.num_clients = 12;
+  cfg.clients_per_round = 6;
+  cfg.samples_per_client = 25;
+  cfg.batch_size = 25;
+  cfg.test_samples = 48;
+  cfg.rounds = 3;
+  cfg.local_epochs = 1;
+  ExperimentEnv env = make_env(cfg);
+  env.run.threads = 1;
+  const RunResult first = run_algorithm(Algorithm::kAdaptiveFl, env);
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  const RunResult second = run_algorithm(Algorithm::kAdaptiveFl, env);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  expect_identical(first, second);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 2000)
+      << "minor page faults during the second run";
+#endif
 }
 
 }  // namespace

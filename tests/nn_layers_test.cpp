@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -69,6 +71,15 @@ TEST(Conv2D, RejectsWrongChannels) {
   Conv2D conv(3, 4, 3, 1, 1);
   Tensor x({1, 2, 8, 8});
   EXPECT_THROW(conv.forward(x, false), std::invalid_argument);
+}
+
+TEST(Conv2D, RejectsAPlaneSmallerThanItsWindow) {
+  Conv2D valid(1, 1, 3, 1, 0);
+  EXPECT_THROW(valid.forward(Tensor::full({1, 1, 2, 2}, 1.0f), false), std::invalid_argument);
+  EXPECT_THROW(valid.forward(Tensor::full({1, 1, 5, 2}, 1.0f), true), std::invalid_argument);
+  EXPECT_EQ(valid.forward(Tensor::full({1, 1, 3, 3}, 1.0f), false).shape(), (Shape{1, 1, 1, 1}));
+  Conv2D same(1, 1, 3, 1, 1);
+  EXPECT_EQ(same.forward(Tensor::full({1, 1, 1, 1}, 1.0f), false).shape(), (Shape{1, 1, 1, 1}));
 }
 
 TEST(Conv2D, BatchEqualsPerSample) {
@@ -146,6 +157,14 @@ TEST(MaxPool, PicksMaxima) {
   EXPECT_FLOAT_EQ(out[1], 8.0f);
   EXPECT_FLOAT_EQ(out[2], 12.0f);
   EXPECT_FLOAT_EQ(out[3], 16.0f);
+}
+
+TEST(MaxPool, RejectsAPlaneSmallerThanItsWindow) {
+  // (1 - 2) / 2 + 1 wraps in size_t: the parent built a 2^63-row output.
+  MaxPool2D pool;
+  EXPECT_THROW(pool.forward(Tensor::full({1, 1, 1, 1}, 1.0f), false), std::invalid_argument);
+  EXPECT_THROW(pool.forward(Tensor::full({2, 3, 4, 1}, 1.0f), true), std::invalid_argument);
+  EXPECT_EQ(pool.forward(Tensor::full({1, 1, 2, 3}, 1.0f), false).shape(), (Shape{1, 1, 1, 1}));
 }
 
 TEST(MaxPool, BackwardRoutesToArgmax) {
