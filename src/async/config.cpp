@@ -1,6 +1,7 @@
 #include "async/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/env.hpp"
 
@@ -24,6 +25,11 @@ AsyncConfig AsyncConfig::from_env() {
       env_or("AFL_ASYNC_REUPLOAD_BACKOFF_MS", cfg.reupload_backoff_s * 1000.0) /
       1000.0;
   return cfg;
+}
+
+double staleness_weight(std::size_t tau, double alpha) {
+  if (tau == 0 || alpha == 0.0) return 1.0;
+  return 1.0 / std::pow(1.0 + static_cast<double>(tau), alpha);
 }
 
 }  // namespace afl::async

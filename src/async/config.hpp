@@ -46,4 +46,21 @@ struct AsyncConfig {
   static AsyncConfig from_env();
 };
 
+/// Versions elapsed since an update's dispatch at global version `version`,
+/// with `flushes` flushes committed; a version past the head counts as fresh.
+inline std::size_t staleness(std::size_t version, std::size_t flushes) {
+  return version < flushes ? flushes - version : 0;
+}
+
+/// The staleness discount (docs/ASYNC.md): the factor 1 / (1 + tau)^alpha on
+/// the data-size weight of an update `tau` versions stale. Fresh updates
+/// (tau 0) and alpha 0 keep weight 1.
+double staleness_weight(std::size_t tau, double alpha);
+
+/// Whether an update `tau` versions stale is discarded under the
+/// max_staleness cutoff; 0 means no cutoff.
+inline bool too_stale(std::size_t tau, std::size_t max_staleness) {
+  return max_staleness > 0 && tau > max_staleness;
+}
+
 }  // namespace afl::async

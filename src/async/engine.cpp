@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "async/aggregator.hpp"
 #include "async/virtual_clock.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/snapshot.hpp"
@@ -25,97 +24,68 @@ using engine::Dispatch;
 using engine::DispatchFailure;
 
 // ---- In-flight serialization (engine snapshots, docs/POPULATION.md) --------
-// A snapshot is cut at a flush boundary, so the aggregation buffer is empty
+// A snapshot is cut at a flush boundary, so nothing is folded since the flush
 // but up to `concurrency` dispatches are mid-flight: their slots, channel
 // sessions (RNG position + clock), decoded downlinks, and — when the lazy
 // training wave already ran — trained outcomes all have to survive verbatim
 // for the resumed event sequence to be bit-identical.
 
-void write_slot(SnapshotWriter& w, const ClientSlot& s) {
-  w.u64(s.round);
-  w.u64(s.slot);
-  w.u64(s.client);
-  w.u64(s.capacity);
-  w.u64(s.sent_index);
-  w.u64(s.params_sent);
-  w.u64(s.trainable ? 1 : 0);
-  w.u64(s.back_index);
-  w.u64(s.params_back);
+/// One event: time, dispatch, client, seq, kind.
+constexpr std::size_t kEventBytes = 5 * sizeof(std::uint64_t);
+
+void snapshot_slot(SnapshotStream& s, ClientSlot& slot) {
+  for (std::size_t* v : {&slot.round, &slot.slot, &slot.client, &slot.capacity,
+                         &slot.sent_index, &slot.params_sent}) {
+    s.u64(*v);
+  }
+  s.flag(slot.trainable);
+  s.u64(slot.back_index);
+  s.u64(slot.params_back);
 }
 
-void read_slot(SnapshotReader& r, ClientSlot& s) {
-  s.round = r.u64();
-  s.slot = r.u64();
-  s.client = r.u64();
-  s.capacity = r.u64();
-  s.sent_index = r.u64();
-  s.params_sent = r.u64();
-  s.trainable = r.u64() != 0;
-  s.back_index = r.u64();
-  s.params_back = r.u64();
+/// An optional parameter set: a flag, then the set when present.
+void snapshot_optional(SnapshotStream& s, std::unique_ptr<ParamSet>& p) {
+  bool present = p != nullptr;
+  s.flag(present);
+  if (!present) return;
+  if (!p) p = std::make_unique<ParamSet>();
+  s.params(*p);
 }
 
-void write_pending(SnapshotWriter& w, const Dispatch& p, bool compress_on) {
-  w.u64(p.id);
-  write_slot(w, p.slot);
-  engine::write_rng(w, p.sess.rng_state());
-  w.u64(p.sess.round());
-  w.u64(p.sess.client());
-  w.f64(p.sess.elapsed_seconds());
-  w.u64(p.sess.clock().compute_charged() ? 1 : 0);
-  w.u64(p.version);
-  w.f64(p.base);
-  w.u64(p.reuploads_left);
-  w.u64(p.accepted ? 1 : 0);
-  w.u64(p.trained ? 1 : 0);
-  w.u64(static_cast<std::uint64_t>(p.fail));
-  w.u64(p.rx ? 1 : 0);
-  if (p.rx) w.params(*p.rx);
+void snapshot_dispatch(SnapshotStream& s, Dispatch& p, bool compress_on) {
+  s.u64(p.id);
+  snapshot_slot(s, p.slot);
+  Rng::State st = p.sess.rng_state();
+  engine::snapshot_rng(s, st);
+  std::uint64_t sess_round = p.sess.round(), sess_client = p.sess.client();
+  double elapsed = p.sess.elapsed_seconds();
+  bool compute_charged = p.sess.clock().compute_charged();
+  s.u64(sess_round);
+  s.u64(sess_client);
+  s.f64(elapsed);
+  s.flag(compute_charged);
+  p.sess.restore(sess_round, sess_client, st, elapsed, compute_charged);
+  s.u64(p.version);
+  s.f64(p.base);
+  s.u64(p.reuploads_left);
+  s.flag(p.accepted);
+  s.flag(p.trained);
+  std::uint64_t fail = static_cast<std::uint64_t>(p.fail);
+  s.u64(fail);
+  p.fail = engine::decode_failure(fail);
+  snapshot_optional(s, p.rx);
+  p.slot.rx = p.rx.get();
   if (p.trained) {
     // stats.seconds (wall-clock training time) stays out: identical logical
     // state must give identical bytes, and it only feeds round_metrics.
-    w.params(p.outcome.params);
-    w.u64(p.outcome.samples);
-    w.f64(p.outcome.stats.mean_loss);
-    w.u64(p.outcome.stats.samples_seen);
+    s.params(p.outcome.params);
+    s.u64(p.outcome.samples);
+    s.f64(p.outcome.stats.mean_loss);
+    s.u64(p.outcome.stats.samples_seen);
   }
-  if (compress_on) {
-    // Written only when compression is active, so uncompressed snapshots
-    // stay byte-identical to pre-compression builds.
-    w.u64(p.upref ? 1 : 0);
-    if (p.upref) w.params(*p.upref);
-  }
-}
-
-void read_pending(SnapshotReader& r, Dispatch& p, bool compress_on) {
-  p.id = static_cast<std::size_t>(r.u64());
-  read_slot(r, p.slot);
-  const Rng::State st = engine::read_rng(r);
-  const std::size_t sess_round = r.u64();
-  const std::size_t sess_client = r.u64();
-  const double elapsed = r.f64();
-  const bool compute_charged = r.u64() != 0;
-  p.sess.restore(sess_round, sess_client, st, elapsed, compute_charged);
-  p.version = r.u64();
-  p.base = r.f64();
-  p.reuploads_left = r.u64();
-  p.accepted = r.u64() != 0;
-  p.trained = r.u64() != 0;
-  p.fail = engine::decode_failure(r.u64());
-  if (r.u64() != 0) {
-    p.rx = std::make_unique<ParamSet>(r.params());
-    p.slot.rx = p.rx.get();
-  }
-  if (p.trained) {
-    p.outcome.params = r.params();
-    p.outcome.samples = r.u64();
-    p.outcome.stats.mean_loss = r.f64();
-    p.outcome.stats.samples_seen = r.u64();
-    p.outcome.stats.seconds = 0.0;
-  }
-  if (compress_on && r.u64() != 0) {
-    p.upref = std::make_unique<ParamSet>(r.params());
-  }
+  // Written only when compression is active, so uncompressed snapshots stay
+  // byte-identical to pre-compression builds.
+  if (compress_on) snapshot_optional(s, p.upref);
 }
 
 }  // namespace
@@ -145,33 +115,52 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
 
   VirtualClock clock;
   EventQueue queue;
-  AsyncAggregator agg(async_.buffer_size, async_.staleness_alpha,
-                      async_.max_staleness);
+  // The global version is the flush count: a dispatch records it at
+  // admission and its update's staleness is the flushes since.
+  std::size_t flushes = 0;
+  std::size_t folds = 0;  // updates folded since the last flush
   std::map<std::size_t, Dispatch> pending;  // in flight, by dispatch id
   std::size_t next_dispatch = 1;
   std::size_t stuck_ends = 0;  // the stop rule's count (below)
 
   // Snapshot/resume (docs/POPULATION.md). Async snapshots are cut at flush
-  // boundaries: the buffer is empty, but in-flight dispatches (and their
+  // boundaries: nothing is folded, but in-flight dispatches (and their
   // pending events) are captured verbatim in the tail section so the resumed
   // event sequence — and therefore the RunResult — is bit-identical to the
   // uninterrupted run. core.sim_time is the last flush time.
-  core.head.write = [&](SnapshotWriter& w) {
-    w.f64(clock.now());
-    w.f64(core.sim_time);
-    w.u64(next_dispatch);
-    w.u64(agg.version());
+  std::uint64_t head_version = 0;
+  core.head = [&](SnapshotStream& s) {
+    double now = clock.now();
+    s.f64(now);
+    clock.restore(now);
+    s.f64(core.sim_time);
+    s.u64(next_dispatch);
+    head_version = flushes;
+    s.u64(head_version);
   };
-  core.head.read = [&](SnapshotReader& r) {
-    clock.restore(r.f64());
-    core.sim_time = r.f64();
-    next_dispatch = r.u64();
-    agg.restore(r.u64());
-  };
-  core.tail.write = [&](SnapshotWriter& w) {
-    w.u64(pending.size());
-    for (const auto& [id, p] : pending) {  // std::map: dispatch order
-      write_pending(w, p, core.compressor.enabled());
+  core.tail = [&](SnapshotStream& s) {
+    const bool compress_on = core.compressor.enabled();
+    std::uint64_t n_pending = pending.size();
+    s.count(n_pending, sizeof(std::uint64_t), "in-flight dispatch");
+    if (s.saving()) {
+      for (auto& [id, p] : pending) snapshot_dispatch(s, p, compress_on);  // dispatch order
+    } else {
+      for (std::uint64_t i = 0; i < n_pending; ++i) {
+        Dispatch p;
+        snapshot_dispatch(s, p, compress_on);
+        p.slot.source = core.source_of(p.slot);
+        if (devices_ != nullptr && p.slot.client >= devices_->size()) {
+          throw std::runtime_error("snapshot: in-flight dispatch to a client outside the fleet");
+        }
+        // The client is still in flight: re-mark it busy and reopen its
+        // lifecycle record (earlier phases were flushed with the old
+        // process; blame attribution restarts, bit-identity of the result
+        // does not).
+        policy.set_client_busy(p.slot.client, true);
+        core.lifecycle.begin(p.id, p.id, p.slot.client, p.base, /*shard=*/-1,
+                             static_cast<long long>(p.version));
+        pending.emplace(p.id, std::move(p));
+      }
     }
     // Events serialize in pop order (the comparator's total order), so two
     // snapshots of the same logical state are byte-identical regardless of
@@ -179,41 +168,13 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     std::vector<Event> events = queue.events();
     std::sort(events.begin(), events.end(),
               [](const Event& a, const Event& b) { return event_after(b, a); });
-    w.u64(events.size());
-    for (const Event& e : events) {
-      w.f64(e.time);
-      w.u64(e.dispatch);
-      w.u64(e.client);
-      w.u64(e.seq);
-      w.u64(static_cast<std::uint64_t>(e.kind));
-    }
-    w.u64(queue.next_seq());
-  };
-  core.tail.read = [&](SnapshotReader& reader) {
-    const std::uint64_t n_pending = reader.u64();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-      Dispatch p;
-      read_pending(reader, p, core.compressor.enabled());
-      p.slot.source = core.source_of(p.slot);
-      if (devices_ != nullptr && p.slot.client >= devices_->size()) {
-        throw std::runtime_error("snapshot: in-flight dispatch to a client outside the fleet");
-      }
-      // The client is still in flight: re-mark it busy and reopen its
-      // lifecycle record (earlier phases were flushed with the old process;
-      // blame attribution restarts, bit-identity of the result does not).
-      policy.set_client_busy(p.slot.client, true);
-      core.lifecycle.begin(p.id, p.id, p.slot.client, p.base, /*shard=*/-1,
-                           static_cast<long long>(p.version));
-      pending.emplace(p.id, std::move(p));
-    }
-    const std::uint64_t n_events = reader.u64();
-    std::vector<Event> events(n_events);
-    for (Event& e : events) {
-      e.time = reader.f64();
-      e.dispatch = reader.u64();
-      e.client = reader.u64();
-      e.seq = reader.u64();
-      const std::uint64_t kind = reader.u64();
+    s.items(events, kEventBytes, "async event", [&](Event& e) {
+      s.f64(e.time);
+      s.u64(e.dispatch);
+      s.u64(e.client);
+      s.u64(e.seq);
+      std::uint64_t kind = static_cast<std::uint64_t>(e.kind);
+      s.u64(kind);
       // The event loop replays every event against its dispatch's state.
       const auto it = pending.find(e.dispatch);
       const char* bad = nullptr;
@@ -230,12 +191,19 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
                                  std::to_string(e.client) + "): " + bad);
       }
       e.kind = static_cast<EventKind>(kind);
-    }
-    queue.restore(std::move(events), reader.u64());
+    });
+    std::uint64_t next_seq = queue.next_seq();
+    s.u64(next_seq);
+    if (s.resuming()) queue.restore(std::move(events), next_seq);
   };
-  std::size_t flushes = core.resume();
+  flushes = core.resume();
+  if (head_version != flushes) {
+    throw std::runtime_error("snapshot: async head version " + std::to_string(head_version) +
+                             " differs from the snapshot's round " + std::to_string(flushes));
+  }
   // One window (and churn record) per flush — the async analogue of a round.
-  core.open_window(flushes + 1);
+  // A run resumed from its last flush opens none, like the round engine.
+  if (flushes < config_.rounds) core.open_window(flushes + 1);
 
   // Keeps `concurrency` dispatches in flight, drawing every RNG value on the
   // engine thread in event order. The dispatch id doubles as the slot's
@@ -251,7 +219,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       d.slot.source = core.source_of(d.slot);
       dispatch_counter.inc();
       d.id = next_dispatch;
-      d.version = agg.version();
+      d.version = flushes;
       d.base = clock.now();
       d.reuploads_left = async_.max_reuploads;
       const engine::Admission admission = core.dispatcher.admit(d, core.rng, flushes + 1);
@@ -296,13 +264,13 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       AFL_PROF_SPAN("async.aggregate");
       core.aggregate();
     }
-    const std::size_t new_version = agg.commit_flush();
-    version_gauge.set(static_cast<double>(new_version));
+    folds = 0;
+    version_gauge.set(static_cast<double>(flushes));
     flush_counter.inc();
     // The buffer flush is the commit instant of every buffered update:
     // buffer_wait runs from each arrival to here.
     core.lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
-                                 static_cast<long long>(new_version));
+                                 static_cast<long long>(flushes));
     stopped = core.close_window(flushes, /*sync=*/true, clock.now() - core.sim_time,
                                 clock.now());
     if (!stopped && flushes < config_.rounds) core.open_window(flushes + 1);
@@ -336,7 +304,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     if (queue.empty()) {
       // Nothing in flight and nothing dispatchable. Flush what the buffer
       // holds; if it is empty too the fleet is exhausted — end the run.
-      if (agg.buffered() > 0) {
+      if (folds > 0) {
         do_flush();
         continue;
       }
@@ -370,7 +338,8 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     Dispatch p = std::move(it->second);
     pending.erase(it);
     policy.set_client_busy(p.slot.client, false);
-    const bool stale = e.kind == EventKind::kArrival && agg.too_stale(p.version);
+    const std::size_t tau = staleness(p.version, flushes);
+    const bool stale = e.kind == EventKind::kArrival && too_stale(tau, async_.max_staleness);
     if (e.kind == EventKind::kFailure || stale) {
       if (stale) stale_counter.inc();
       core.dispatcher.fail(p, stale ? DispatchFailure::kStale : p.fail, clock.now(),
@@ -381,8 +350,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
       if (stuck() && ++stuck_ends == async_.concurrency) do_flush();
       continue;
     }
-    const std::size_t tau = agg.staleness(p.version);
-    const double scale = agg.weight_scale(p.version);
+    const double scale = staleness_weight(tau, async_.staleness_alpha);
     staleness_hist.record(static_cast<double>(tau));
     core.dispatcher.arrive(p, clock.now(), [&](obs::TraceEvent& ev) {
       ev.field("virtual_time", clock.now())
@@ -392,9 +360,8 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
           .field("dur_ms", (clock.now() - p.base) * 1e3);
     });
     core.fold(p, scale);
-    agg.note_buffered();
-    occupancy_hist.record(static_cast<double>(agg.buffered()));
-    if (agg.full()) do_flush();
+    occupancy_hist.record(static_cast<double>(++folds));
+    if (folds >= async_.buffer_size) do_flush();
   }
   return stopped ? core.finish(flushes) : core.end();
 }

@@ -153,8 +153,4 @@ void Compressor::on_departed(std::size_t client) {
   obs::metrics().counter("afl.compress.residual.dropped_clients").inc();
 }
 
-void Compressor::snapshot(SnapshotWriter& w) const { store_.snapshot(w); }
-
-void Compressor::restore(SnapshotReader& r) { store_.restore(r); }
-
 }  // namespace afl::compress

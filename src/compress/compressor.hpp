@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "compress/residual.hpp"
 #include "net/transport.hpp"
@@ -70,11 +71,13 @@ class Compressor {
   /// Population-churn hook: the client left the fleet (docs/POPULATION.md).
   void on_departed(std::size_t client);
 
-  /// Residual state serialization for AFLSNAP1 engine snapshots. Engines
-  /// call these only when enabled(), so snapshots of uncompressed runs stay
+  /// Saves or resumes the residuals in an AFLSNAP1 engine snapshot
+  /// (ResidualStore::snapshot; `globals` bound the rows resumed). Engines
+  /// call this only when enabled(), so snapshots of uncompressed runs stay
   /// byte-identical to pre-compression builds.
-  void snapshot(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  void snapshot(SnapshotStream& s, const std::vector<ParamSet*>& globals) {
+    store_.snapshot(s, globals);
+  }
 
  private:
   bool enabled_ = false;

@@ -59,12 +59,13 @@ class ResidualStore {
   bool empty() const { return rows_.empty(); }
   void clear() { rows_.clear(); }
 
-  /// AFLSNAP1 serialization in sorted (client, tensor, index) order: each
-  /// row's nonzero entries as (index, f64 value) pairs (exact for every
-  /// f32). restore() replaces the store and throws std::runtime_error on a
-  /// row whose shape, count or indices it cannot hold.
-  void snapshot(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Saves or resumes the store in an AFLSNAP1 snapshot, in sorted (client,
+  /// tensor, index) order: each row's shape, then its nonzero entries as
+  /// (index, f64 value) pairs (exact for every f32). Resuming replaces the
+  /// store and throws std::runtime_error, before allocating the row, on a
+  /// row whose tensor no global in `globals` holds, whose shape exceeds that
+  /// tensor's, or whose count or indices it cannot hold.
+  void snapshot(SnapshotStream& s, const std::vector<ParamSet*>& globals);
 
  private:
   // Ordered outer maps keep snapshot order canonical without re-sorting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -155,36 +156,20 @@ class AdaptiveFlPolicy final : public AsyncRoundPolicy {
     }
   }
 
-  void snapshot_state(SnapshotWriter& w) const override {
-    // Engine snapshot (docs/POPULATION.md): the global model plus the RL
-    // tables' sparse state. The dump is sorted by (row, client), so two
-    // snapshots of identical logical state are byte-identical. The busy /
-    // taken set is NOT saved: the sync engine resets it per round, and the
-    // async engine re-marks it from the restored in-flight set.
-    w.params(global_);
-    const RlTables::Dump dump = selector_.tables().dump();
-    w.u64(dump.cells.size());
-    for (const std::array<double, 3>& cell : dump.cells) {
-      w.f64(cell[0]);
-      w.f64(cell[1]);
-      w.f64(cell[2]);
-    }
-    w.u64(dump.touched.size());
-    for (std::size_t client : dump.touched) w.u64(client);
-  }
-
-  void restore_state(SnapshotReader& r) override {
-    global_ = r.params();
-    RlTables::Dump dump;
-    dump.cells.resize(r.u64());
-    for (std::array<double, 3>& cell : dump.cells) {
-      cell[0] = r.f64();
-      cell[1] = r.f64();
-      cell[2] = r.f64();
-    }
-    dump.touched.resize(r.u64());
-    for (std::size_t& client : dump.touched) client = r.u64();
-    selector_.tables().restore(dump);
+  void snapshot(SnapshotStream& s) override {
+    // Engine snapshot (docs/POPULATION.md): the RL tables' sparse state
+    // beyond the global the run core saves. The dump is sorted by (row,
+    // client), so two snapshots of identical logical state are
+    // byte-identical. The busy / taken set is NOT saved: the sync engine
+    // resets it per round, and the async engine re-marks it from the
+    // restored in-flight set.
+    RlTables::Dump dump = selector_.tables().dump();
+    s.items(dump.cells, 3 * sizeof(double), "RL table cell", [&](std::array<double, 3>& cell) {
+      for (double& v : cell) s.f64(v);
+    });
+    s.items(dump.touched, sizeof(std::uint64_t), "RL touched client",
+            [&](std::size_t& client) { s.u64(client); });
+    if (s.resuming()) selector_.tables().restore(dump);
   }
 
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {

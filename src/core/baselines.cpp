@@ -44,9 +44,6 @@ class AllLargePolicy final : public CohortPolicy {
                         config_.local, rng);
   }
 
-  void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
-  void restore_state(SnapshotReader& r) override { global_ = r.params(); }
-
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     const double acc =
         eval_params(spec_, full_plan_, {}, global_, data_.test, config_.eval_batch, workers);
@@ -101,13 +98,6 @@ class DecoupledPolicy final : public CohortPolicy {
   TrainOutcome execute(const ClientSlot& s, Rng& rng) const override {
     return train_client(pool_.build(heads_[s.back_index]), local_view(s), data_,
                         s.client, config_.local, rng);
-  }
-
-  void snapshot_state(SnapshotWriter& w) const override {
-    for (const ParamSet& g : globals_) w.params(g);
-  }
-  void restore_state(SnapshotReader& r) override {
-    for (ParamSet& g : globals_) g = r.params();
   }
 
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
@@ -176,9 +166,6 @@ class HeteroFlPolicy final : public CohortPolicy {
     return train_client(build_model(spec_, levels_[s.back_index].plan), local_view(s),
                         data_, s.client, config_.local, rng);
   }
-
-  void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
-  void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;

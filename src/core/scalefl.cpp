@@ -77,9 +77,6 @@ class ScaleFlPolicy final : public CohortPolicy {
                         local_view(s), data_, s.client, local_, rng);
   }
 
-  void snapshot_state(SnapshotWriter& w) const override { w.params(global_); }
-  void restore_state(SnapshotReader& r) override { global_ = r.params(); }
-
   void evaluate(std::size_t, RunResult& result, ThreadPool& workers) override {
     double sum = 0.0;
     for (std::size_t l = 0; l < levels_.size(); ++l) {

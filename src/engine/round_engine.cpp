@@ -141,24 +141,25 @@ RunResult RoundEngine::run(RoundPolicy& policy) {
   // only at root-sync boundaries (every round of a flat run): the run core's
   // aggregators are empty there and every divergent edge model equals the
   // synced global.
-  core.head.write = [&](SnapshotWriter& w) {
-    w.f64(core.sim_time);
-    w.u64(core.lifecycle.last_id());
-    if (!sharded_) return;
-    w.u64(clocks.size());
-    for (const async::VirtualClock& clock : clocks) w.f64(clock.now());
-  };
-  core.head.read = [&](SnapshotReader& r) {
-    core.sim_time = r.f64();
-    core.lifecycle.set_last_id(r.u64());
+  core.head = [&](SnapshotStream& s) {
+    s.f64(core.sim_time);
+    std::uint64_t last_id = core.lifecycle.last_id();
+    s.u64(last_id);
+    core.lifecycle.set_last_id(last_id);
+    // A flat run's clock is the run clock at every window close.
     if (!sharded_) return clocks[0].restore(core.sim_time);
-    const std::uint64_t n_edges = r.u64();
+    std::uint64_t n_edges = clocks.size();
+    s.count(n_edges, sizeof(double), "shard clock");
     if (n_edges != shards_) {
       throw std::runtime_error(
           "snapshot: shard count mismatch (file has " + std::to_string(n_edges) +
           " edges, run has " + std::to_string(shards_) + ")");
     }
-    for (async::VirtualClock& clock : clocks) clock.restore(r.f64());
+    for (async::VirtualClock& clock : clocks) {
+      double now = clock.now();
+      s.f64(now);
+      clock.restore(now);
+    }
   };
   const std::size_t start_round = core.resume() + 1;
 

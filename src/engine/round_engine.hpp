@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -195,25 +194,13 @@ class RoundPolicy {
   /// run on it (eval_params), so the result is the same at any pool size.
   virtual void evaluate(std::size_t round, RunResult& result, ThreadPool& workers) = 0;
 
-  /// Engine snapshot/resume (docs/POPULATION.md): serializes the policy's
-  /// own state (global model, RL tables, ...) beyond what the engine
-  /// captures, and restores it on resume. The layout is policy-private but
-  /// must be deterministic (sorted containers) so two snapshots of identical
-  /// logical state are byte-identical. restore_state() is called after
-  /// init_global(), so structure exists and only values need rewinding.
-  /// The defaults throw: a policy that silently snapshots nothing would
-  /// resume from a round-0 model and diverge without any error. Only called
-  /// when a snapshot/resume plan is active.
-  virtual void snapshot_state(SnapshotWriter& w) const {
-    (void)w;
-    throw std::runtime_error(algorithm_name() +
-                             " does not implement snapshot_state()");
-  }
-  virtual void restore_state(SnapshotReader& r) {
-    (void)r;
-    throw std::runtime_error(algorithm_name() +
-                             " does not implement restore_state()");
-  }
+  /// Engine snapshot/resume (docs/POPULATION.md): saves or resumes the
+  /// policy's state beyond its globals(), which the run core saves itself
+  /// (AdaptiveFL's RL tables). The layout is policy-private but must be
+  /// deterministic (sorted containers) so two snapshots of identical logical
+  /// state are byte-identical. It runs after init_global(), so structure
+  /// exists and only values need rewinding. The default saves nothing.
+  virtual void snapshot(SnapshotStream& s) { (void)s; }
 };
 
 /// Extension of RoundPolicy consumed by the async engine (src/async/,

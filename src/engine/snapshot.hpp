@@ -2,14 +2,17 @@
 // Engine snapshot/resume plumbing shared by the round engine (src/engine/,
 // flat and sharded) and the async engine (src/async/) — docs/POPULATION.md.
 //
-// A snapshot is an AFLSNAP1 file (nn/checkpoint.hpp SnapshotWriter/Reader:
+// A snapshot is an AFLSNAP1 file (nn/checkpoint.hpp SnapshotStream:
 // CRC-32-verified typed primitives) capturing everything a run needs to
 // continue bit-identically: a format/fingerprint header, the partial
 // RunResult (curve, comm counters, simulated clock — everything except the
 // wall-clock round_metrics, which are inherently nondeterministic and are
-// excluded from the bit-identity contract), the engine RNG, and
-// engine-specific state (virtual clocks, in-flight async buffers, edge
-// models) plus the policy's own state via RoundPolicy::snapshot_state().
+// excluded from the bit-identity contract), the engine RNG,
+// engine-specific state (virtual clocks, in-flight async dispatches), the
+// compressor's residuals, and the policy's globals plus its own state beyond
+// them (RoundPolicy::snapshot). Each section is one function for both
+// directions (engine::RunCore's frame), so a field cannot be saved without
+// being read back.
 //
 // Resume order everywhere: the engine calls policy.init_global(rng) first
 // (structure: model shapes, table sizes), then restores the snapshot over
@@ -62,27 +65,21 @@ struct SnapshotPlan {
   static SnapshotPlan resolve(const FlRunConfig& config);
 };
 
-/// Header every engine snapshot leads with: a per-engine format id plus the
-/// run fingerprint. read_header throws std::runtime_error when the format or
-/// fingerprint of the file does not match the resuming run — resuming under
-/// a different config would silently diverge instead of reproducing.
-void write_header(SnapshotWriter& w, const std::string& format,
-                  const FlRunConfig& config, const std::string& algorithm,
-                  std::size_t round);
-/// Returns the snapshotted round index.
-std::size_t read_header(SnapshotReader& r, const std::string& format,
-                        const FlRunConfig& config, const std::string& algorithm);
+/// Header every engine snapshot leads with: a per-engine format id, the run
+/// fingerprint and the snapshotted round, which it returns. Resuming throws
+/// std::runtime_error when the format or fingerprint of the file does not
+/// match the resuming run: resuming under a different config would silently
+/// diverge instead of reproducing.
+std::size_t snapshot_header(SnapshotStream& s, const std::string& format,
+                            const FlRunConfig& config, const std::string& algorithm,
+                            std::size_t round);
 
-void write_rng(SnapshotWriter& w, const Rng::State& st);
-Rng::State read_rng(SnapshotReader& r);
-
-void write_comm(SnapshotWriter& w, const CommStats& comm);
-void read_comm(SnapshotReader& r, CommStats& comm);
+/// The generator's complete state.
+void snapshot_rng(SnapshotStream& s, Rng::State& st);
 
 /// The deterministic portion of a RunResult: algorithm, curve, final/level
 /// accuracies, comm counters, failure count, sim clock, time-to-acc table.
 /// wall_seconds and round_metrics stay out (wall-clock nondeterminism).
-void write_result(SnapshotWriter& w, const RunResult& result);
-void read_result(SnapshotReader& r, RunResult& result);
+void snapshot_result(SnapshotStream& s, RunResult& result);
 
 }  // namespace afl::engine

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fl/aggregate.hpp"
@@ -137,16 +139,35 @@ RunCore::RunCore(const EngineBase& engine, RoundPolicy& policy, RunMode mode,
 
 std::size_t RunCore::resume() {
   if (!snap.resume_enabled()) return 0;
-  SnapshotReader r(snap.resume_from);
-  const std::size_t round =
-      read_header(r, snapshot_format(mode_), engine_.config_, result.algorithm);
-  read_result(r, result);
-  rng.set_state(read_rng(r));
-  head.read(r);
-  if (compressor.enabled()) compressor.restore(r);
-  policy_.restore_state(r);
-  if (tail.read) tail.read(r);
-  r.expect_end();
+  SnapshotStream s(snap.resume_from, SnapshotStream::Mode::kResume);
+  return frame(s, 0);
+}
+
+std::size_t RunCore::frame(SnapshotStream& s, std::size_t round) {
+  round = snapshot_header(s, snapshot_format(mode_), engine_.config_, result.algorithm, round);
+  snapshot_result(s, result);
+  Rng::State st = rng.state();
+  snapshot_rng(s, st);
+  rng.set_state(st);
+  head(s);
+  if (compressor.enabled()) compressor.snapshot(s, globals_);
+  for (std::size_t g = 0; g < globals_.size(); ++g) {
+    if (s.saving()) {
+      s.params(*globals_[g]);
+      continue;
+    }
+    ParamSet saved;
+    s.params(saved);
+    if (!same_structure(saved, *globals_[g])) {
+      throw std::runtime_error("snapshot: global " + std::to_string(g) + " in " +
+                               snap.resume_from + " differs in names or shapes from " +
+                               result.algorithm + "'s");
+    }
+    *globals_[g] = std::move(saved);
+  }
+  policy_.snapshot(s);
+  if (tail) tail(s);
+  s.finish();
   return round;
 }
 
@@ -191,15 +212,8 @@ bool RunCore::close_window(std::size_t round, bool sync, double round_sim, doubl
   if (sync) obs::sample_rss();
   publish(round, watch_.seconds(), /*active=*/round < config.rounds);
   if (sync && snap.due(round)) {
-    SnapshotWriter w(snap.snapshot_path);
-    write_header(w, snapshot_format(mode_), config, result.algorithm, round);
-    write_result(w, result);
-    write_rng(w, rng.state());
-    head.write(w);
-    if (compressor.enabled()) compressor.snapshot(w);
-    policy_.snapshot_state(w);
-    if (tail.write) tail.write(w);
-    w.finish();
+    SnapshotStream s(snap.snapshot_path, SnapshotStream::Mode::kSave);
+    frame(s, round);
   }
   return sync && snap.stop_after(round);
 }

@@ -42,13 +42,10 @@ class RunCore {
           std::size_t shards = 0, std::size_t sync_every = 0);
 
   /// The engine's own snapshot state, around the shared frame: header,
-  /// result, RNG, head, compressor, policy, tail. Each section's write and
-  /// read must mirror each other; an unset tail is empty.
-  struct Section {
-    std::function<void(SnapshotWriter&)> write;
-    std::function<void(SnapshotReader&)> read;
-  };
-  Section head, tail;
+  /// result, RNG, head, compressor, policy globals, the policy's own
+  /// snapshot(), tail. Each runs once for both directions (SnapshotStream);
+  /// an unset tail is empty.
+  std::function<void(SnapshotStream&)> head, tail;
 
   /// Restores the snapshot the plan resumes from, if any, over the structure
   /// init_global() built. Returns its round; 0 is a fresh start.
@@ -128,6 +125,11 @@ class RunCore {
   /// for the whole run.
   std::vector<ParamSet*> globals_;
   std::vector<ShardAggregator> aggregators_;
+
+  /// Saves or resumes the snapshot frame (head and tail above) at `round`;
+  /// returns the file's round. A resumed global must have the names and
+  /// shapes init_global() built.
+  std::size_t frame(SnapshotStream& s, std::size_t round);
 
   /// Publishes a RunStatus to the live status board, with the lifecycle's
   /// critical-path blame once it is valid.

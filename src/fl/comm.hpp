@@ -19,6 +19,8 @@
 
 namespace afl {
 
+class SnapshotStream;
+
 class CommStats {
  public:
   void record_dispatch(std::size_t params_sent) { sent_ += params_sent; }
@@ -72,46 +74,10 @@ class CommStats {
 
   void reset() { *this = CommStats(); }
 
-  /// Complete counter state, exposed for engine snapshot/resume
-  /// (docs/POPULATION.md): totals plus the per-round marks, so a resumed run
-  /// reports the same round deltas as the uninterrupted one.
-  struct State {
-    std::size_t sent = 0, back = 0, bytes_sent = 0, bytes_back = 0;
-    std::size_t retransmits = 0, stragglers = 0, drops = 0;
-    std::size_t round_sent_mark = 0, round_back_mark = 0;
-    std::size_t round_bytes_sent_mark = 0, round_bytes_back_mark = 0;
-    std::size_t round_retransmits_mark = 0, round_stragglers_mark = 0;
-  };
-  State state() const {
-    return State{sent_,
-                 back_,
-                 bytes_sent_,
-                 bytes_back_,
-                 retransmits_,
-                 stragglers_,
-                 drops_,
-                 round_sent_mark_,
-                 round_back_mark_,
-                 round_bytes_sent_mark_,
-                 round_bytes_back_mark_,
-                 round_retransmits_mark_,
-                 round_stragglers_mark_};
-  }
-  void set_state(const State& st) {
-    sent_ = st.sent;
-    back_ = st.back;
-    bytes_sent_ = st.bytes_sent;
-    bytes_back_ = st.bytes_back;
-    retransmits_ = st.retransmits;
-    stragglers_ = st.stragglers;
-    drops_ = st.drops;
-    round_sent_mark_ = st.round_sent_mark;
-    round_back_mark_ = st.round_back_mark;
-    round_bytes_sent_mark_ = st.round_bytes_sent_mark;
-    round_bytes_back_mark_ = st.round_bytes_back_mark;
-    round_retransmits_mark_ = st.round_retransmits_mark;
-    round_stragglers_mark_ = st.round_stragglers_mark;
-  }
+  /// Saves or resumes every total and round mark (engine snapshots,
+  /// docs/POPULATION.md), so a resumed run reports the same round deltas as
+  /// the uninterrupted one.
+  void snapshot(SnapshotStream& s);
 
  private:
   std::size_t sent_ = 0;

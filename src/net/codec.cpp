@@ -377,9 +377,6 @@ Tensor decode_tensor(const std::uint8_t* data, std::size_t size, const Shape& sh
     // Sparse payloads are self-describing: parse and validate the index
     // stream instead of a fixed size check. Dropped coordinates are zero.
     AFL_PROF_SPAN("net.sparse_decode");
-    Tensor t{Shape(shape)};
-    float* out = t.data();
-    std::memset(out, 0, n * sizeof(float));
     std::size_t cur = 0;
     const std::uint64_t k = varint_read(data, size, &cur, "sparse count");
     if (k != codec_kept_coords(n, codec)) {
@@ -389,6 +386,17 @@ Tensor decode_tensor(const std::uint8_t* data, std::size_t size, const Shape& sh
                        " for shape " + shape_to_string(shape) + " under " +
                        codec_name(codec) + tensor_context(name));
     }
+    // Each entry takes at least a one-byte index delta and a four-byte value,
+    // so a payload too short for k of them is refused before the tensor is
+    // allocated.
+    if (k > (size - cur) / 5) {
+      throw CodecError("codec: sparse payload of " + std::to_string(size) +
+                       " bytes cannot hold " + std::to_string(k) + " coords" +
+                       tensor_context(name));
+    }
+    Tensor t{Shape(shape)};
+    float* out = t.data();
+    std::memset(out, 0, n * sizeof(float));
     std::uint64_t idx = 0;
     for (std::uint64_t i = 0; i < k; ++i) {
       const std::uint64_t delta = varint_read(data, size, &cur, "sparse index");

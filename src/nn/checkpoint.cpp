@@ -3,10 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/prof/prof.hpp"
 #include "util/crc32.hpp"
@@ -37,39 +36,95 @@ struct CrcWriter {
   void write_u64(std::uint64_t v) { write(&v, sizeof(v)); }
 };
 
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) throw std::runtime_error("checkpoint: truncated file");
-  return v;
+/// A whole file being parsed and the offset reached. Every size read from it
+/// is checked against left() before it allocates.
+struct ByteReader {
+  std::string bytes;
+  std::size_t pos = 0;
+  const char* what = "checkpoint";  // message prefix
+  std::string path;
+
+  std::size_t left() const { return bytes.size() - pos; }
+
+  [[noreturn]] void fail(const std::string& message) const {
+    throw std::runtime_error(std::string(what) + ": " + message + " in " + path);
+  }
+
+  void read(void* data, std::size_t size) {
+    if (size > left()) fail("truncated field");
+    std::memcpy(data, bytes.data() + pos, size);
+    pos += size;
+  }
+
+  std::uint64_t u64() {
+    std::uint64_t v = 0;
+    read(&v, sizeof(v));
+    return v;
+  }
+
+  /// Reads a count of `field` items of at least `min_item_bytes` each, and
+  /// refuses one the bytes left cannot hold.
+  std::uint64_t count(std::size_t min_item_bytes, const char* field) {
+    const std::uint64_t n = u64();
+    if (n > left() / min_item_bytes) {
+      fail(std::string(field) + " count " + std::to_string(n) + " too large for the " +
+           std::to_string(left()) + " bytes left");
+    }
+    return n;
+  }
+};
+
+/// Reads a file whole; throws when it cannot be opened.
+std::string read_file(const std::string& path, const char* what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
-ParamSet read_body(std::istream& in) {
-  const std::uint64_t count = read_u64(in);
+/// Strips the magic and, when `crc`, verifies and strips the CRC-32 trailer
+/// over the whole body before parsing, so a flipped bit anywhere (header or
+/// payload) is reported as corruption rather than as whatever structural
+/// error it happens to decode into.
+void open_body(ByteReader& in, bool crc) {
+  in.pos = sizeof(kMagicV2);
+  if (!crc) return;
+  if (in.left() < sizeof(std::uint32_t)) in.fail("truncated file");
+  const std::size_t payload = in.bytes.size() - sizeof(std::uint32_t);
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, in.bytes.data() + payload, sizeof(stored));
+  if (crc32(in.bytes.data() + in.pos, payload - in.pos) != stored) {
+    in.fail("CRC mismatch (corrupted file)");
+  }
+  in.bytes.resize(payload);
+}
+
+ParamSet read_body(ByteReader& in) {
+  // Each entry holds at least its name length and rank.
+  const std::uint64_t count = in.count(2 * sizeof(std::uint64_t), "parameter");
   ParamSet params;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t name_len = read_u64(in);
-    if (name_len > kMaxNameLen) throw std::runtime_error("checkpoint: name too long");
+    const std::uint64_t name_len = in.u64();
+    if (name_len > kMaxNameLen) in.fail("name too long");
     std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    const std::uint64_t rank = read_u64(in);
-    if (rank > kMaxRank) throw std::runtime_error("checkpoint: rank too large");
+    in.read(name.data(), name_len);
+    const std::uint64_t rank = in.u64();
+    if (rank > kMaxRank) in.fail("rank too large");
     Shape shape(rank);
     std::uint64_t numel = 1;
     for (std::uint64_t d = 0; d < rank; ++d) {
-      shape[d] = read_u64(in);
+      shape[d] = in.u64();
       // Checked before the multiply, so no product can wrap below the cap.
-      if (shape[d] != 0 && numel > kMaxNumel / shape[d]) {
-        throw std::runtime_error("checkpoint: tensor too large");
-      }
+      if (shape[d] != 0 && numel > kMaxNumel / shape[d]) in.fail("tensor too large");
       numel *= shape[d];
     }
+    if (numel > in.left() / sizeof(float)) {
+      in.fail("tensor \"" + name + "\" of " + std::to_string(numel) +
+              " floats too large for the " + std::to_string(in.left()) + " bytes left");
+    }
     Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    if (!in) throw std::runtime_error("checkpoint: truncated tensor data");
+    in.read(t.data(), t.numel() * sizeof(float));
     if (!params.emplace(std::move(name), std::move(t)).second) {
-      throw std::runtime_error("checkpoint: duplicate parameter name");
+      in.fail("duplicate parameter name");
     }
   }
   return params;
@@ -102,141 +157,92 @@ void save_checkpoint(const ParamSet& params, const std::string& path) {
 
 ParamSet load_checkpoint(const std::string& path) {
   AFL_PROF_SPAN("ckpt.load");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in) throw std::runtime_error("checkpoint: bad magic in " + path);
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    // v2: verify the CRC-32 trailer over the whole body before parsing, so a
-    // flipped bit anywhere (header or payload) is reported as corruption
-    // rather than as whatever structural error it happens to decode into.
-    std::string body((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (body.size() < sizeof(std::uint32_t)) {
-      throw std::runtime_error("checkpoint: truncated file");
-    }
-    const std::size_t payload = body.size() - sizeof(std::uint32_t);
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, body.data() + payload, sizeof(stored));
-    if (crc32(body.data(), payload) != stored) {
-      throw std::runtime_error("checkpoint: CRC mismatch (corrupted file) in " + path);
-    }
-    std::istringstream stream(body.substr(0, payload));
-    return read_body(stream);
+  ByteReader in{read_file(path, "checkpoint"), 0, "checkpoint", path};
+  const bool v2 = in.bytes.compare(0, sizeof(kMagicV2), kMagicV2, sizeof(kMagicV2)) == 0;
+  if (!v2 && in.bytes.compare(0, sizeof(kMagicV1), kMagicV1, sizeof(kMagicV1)) != 0) {
+    in.fail("bad magic");
   }
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
-  }
-  return read_body(in);  // legacy v1: no integrity trailer
+  open_body(in, /*crc=*/v2);  // legacy v1: no integrity trailer
+  return read_body(in);
 }
 
-struct SnapshotWriter::Impl {
-  std::ofstream out;
-  std::string path;
-  std::uint32_t crc = kCrc32Init;
+struct SnapshotStream::Impl {
+  std::ofstream out;   // saving
+  CrcWriter writer{out};
+  ByteReader in;       // resuming
   bool finished = false;
-
-  void write(const void* data, std::size_t size) {
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-    crc = crc32_update(crc, data, size);
-  }
 };
 
-SnapshotWriter::SnapshotWriter(const std::string& path) : impl_(new Impl) {
-  impl_->path = path;
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw std::runtime_error("snapshot: cannot open " + path + " for write");
-  impl_->out.write(kMagicSnap, sizeof(kMagicSnap));
+SnapshotStream::SnapshotStream(const std::string& path, Mode mode)
+    : impl_(new Impl), saving_(mode == Mode::kSave) {
+  ByteReader& in = impl_->in;
+  in.what = "snapshot";
+  in.path = path;
+  if (saving_) {
+    impl_->out.open(path, std::ios::binary | std::ios::trunc);
+    if (!impl_->out) throw std::runtime_error("snapshot: cannot open " + path + " for write");
+    impl_->out.write(kMagicSnap, sizeof(kMagicSnap));
+    return;
+  }
+  in.bytes = read_file(path, "snapshot");
+  if (in.bytes.compare(0, sizeof(kMagicSnap), kMagicSnap, sizeof(kMagicSnap)) != 0) {
+    in.fail("bad magic");
+  }
+  open_body(in, /*crc=*/true);
 }
 
-SnapshotWriter::~SnapshotWriter() = default;
+SnapshotStream::~SnapshotStream() = default;
 
-void SnapshotWriter::u64(std::uint64_t v) { impl_->write(&v, sizeof(v)); }
-
-void SnapshotWriter::f64(double v) { impl_->write(&v, sizeof(v)); }
-
-void SnapshotWriter::str(const std::string& s) {
-  u64(s.size());
-  impl_->write(s.data(), s.size());
+void SnapshotStream::bytes(void* data, std::size_t size) {
+  if (saving_) return impl_->writer.write(data, size);
+  impl_->in.read(data, size);
 }
 
-void SnapshotWriter::params(const ParamSet& p) {
-  CrcWriter w{impl_->out, impl_->crc};
-  write_params_body(w, p);
-  impl_->crc = w.state;
+void SnapshotStream::u64(std::uint64_t& v) { bytes(&v, sizeof(v)); }
+
+void SnapshotStream::f64(double& v) { bytes(&v, sizeof(v)); }
+
+void SnapshotStream::flag(bool& b) {
+  std::uint64_t v = b ? 1 : 0;
+  u64(v);
+  b = v != 0;
 }
 
-void SnapshotWriter::finish() {
+void SnapshotStream::str(std::string& s) {
+  std::uint64_t len = s.size();
+  u64(len);
+  if (!saving_) {
+    if (len > kMaxNameLen) impl_->in.fail("string too long");
+    s.resize(len);
+  }
+  bytes(s.data(), len);
+}
+
+void SnapshotStream::params(ParamSet& p) {
+  if (saving_) return write_params_body(impl_->writer, p);
+  p = read_body(impl_->in);
+}
+
+void SnapshotStream::count(std::uint64_t& n, std::size_t min_item_bytes, const char* field) {
+  if (saving_) return u64(n);
+  n = impl_->in.count(min_item_bytes, field);
+}
+
+void SnapshotStream::reject_repeat(const char* field) const {
+  impl_->in.fail(std::string("repeated ") + field + " key");
+}
+
+void SnapshotStream::finish() {
+  if (!saving_) {
+    if (impl_->in.left() != 0) impl_->in.fail("trailing bytes (writer/reader layout mismatch)");
+    return;
+  }
   if (impl_->finished) throw std::runtime_error("snapshot: finish() called twice");
   impl_->finished = true;
-  const std::uint32_t crc = crc32_final(impl_->crc);
+  const std::uint32_t crc = crc32_final(impl_->writer.state);
   impl_->out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   impl_->out.close();
-  if (!impl_->out) throw std::runtime_error("snapshot: write failed for " + impl_->path);
-}
-
-struct SnapshotReader::Impl {
-  std::string path;
-  std::istringstream body;
-
-  void read(void* data, std::size_t size) {
-    body.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!body) throw std::runtime_error("snapshot: truncated field in " + path);
-  }
-};
-
-SnapshotReader::SnapshotReader(const std::string& path) : impl_(new Impl) {
-  impl_->path = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("snapshot: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagicSnap, sizeof(kMagicSnap)) != 0) {
-    throw std::runtime_error("snapshot: bad magic in " + path);
-  }
-  std::string body((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (body.size() < sizeof(std::uint32_t)) {
-    throw std::runtime_error("snapshot: truncated file " + path);
-  }
-  const std::size_t payload = body.size() - sizeof(std::uint32_t);
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, body.data() + payload, sizeof(stored));
-  if (crc32(body.data(), payload) != stored) {
-    throw std::runtime_error("snapshot: CRC mismatch (corrupted file) in " + path);
-  }
-  impl_->body.str(body.substr(0, payload));
-}
-
-SnapshotReader::~SnapshotReader() = default;
-
-std::uint64_t SnapshotReader::u64() {
-  std::uint64_t v = 0;
-  impl_->read(&v, sizeof(v));
-  return v;
-}
-
-double SnapshotReader::f64() {
-  double v = 0;
-  impl_->read(&v, sizeof(v));
-  return v;
-}
-
-std::string SnapshotReader::str() {
-  const std::uint64_t len = u64();
-  if (len > kMaxNameLen) throw std::runtime_error("snapshot: string too long in " + impl_->path);
-  std::string s(len, '\0');
-  impl_->read(s.data(), len);
-  return s;
-}
-
-ParamSet SnapshotReader::params() { return read_body(impl_->body); }
-
-void SnapshotReader::expect_end() {
-  if (impl_->body.peek() != std::istringstream::traits_type::eof()) {
-    throw std::runtime_error("snapshot: trailing bytes in " + impl_->path +
-                             " (writer/reader layout mismatch)");
-  }
+  if (!impl_->out) impl_->in.fail("write failed");
 }
 
 }  // namespace afl

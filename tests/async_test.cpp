@@ -1,7 +1,7 @@
 // Unit tests for the async aggregation building blocks (docs/ASYNC.md):
 // event-queue total ordering under shuffled insertion, virtual-clock
-// monotonicity, FedBuff bookkeeping and the staleness discount against
-// hand-computed values, the per-dispatch compute-once clock, and
+// monotonicity, staleness, its discount and cutoff against hand-computed
+// values, the per-dispatch compute-once clock, and
 // staleness-weighted aggregation vs hand-computed weighted means.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <vector>
 
-#include "async/aggregator.hpp"
 #include "async/config.hpp"
 #include "async/virtual_clock.hpp"
 #include "fl/aggregate.hpp"
@@ -20,7 +19,6 @@
 namespace afl {
 namespace {
 
-using async::AsyncAggregator;
 using async::Event;
 using async::EventKind;
 using async::EventQueue;
@@ -95,55 +93,36 @@ TEST(EventQueueTest, TimeTieBrokenByDispatchThenClientThenSeq) {
 }
 
 TEST(AsyncAggregatorTest, StalenessAndVersioning) {
-  AsyncAggregator agg(/*buffer_size=*/2, /*staleness_alpha=*/0.5);
-  EXPECT_EQ(agg.version(), 0u);
-  EXPECT_FALSE(agg.full());
-
-  agg.note_buffered();
-  EXPECT_FALSE(agg.full());
-  agg.note_buffered();
-  EXPECT_TRUE(agg.full());
-  EXPECT_EQ(agg.commit_flush(), 1u);
-  EXPECT_EQ(agg.buffered(), 0u);
-
-  // An update trained on version 0 is now one version stale; one trained on
-  // the current version is fresh. Future versions clamp to 0.
-  EXPECT_EQ(agg.staleness(0), 1u);
-  EXPECT_EQ(agg.staleness(1), 0u);
-  EXPECT_EQ(agg.staleness(5), 0u);
+  using async::staleness;
+  // The global version is the flush count (docs/ASYNC.md). After one flush
+  // an update trained on version 0 is one version stale; one trained on the
+  // current version is fresh. Future versions clamp to 0.
+  EXPECT_EQ(staleness(/*version=*/0, /*flushes=*/1), 1u);
+  EXPECT_EQ(staleness(1, 1), 0u);
+  EXPECT_EQ(staleness(5, 1), 0u);
 }
 
 TEST(AsyncAggregatorTest, WeightScaleMatchesHandComputedDiscount) {
-  AsyncAggregator agg(4, /*staleness_alpha=*/0.5);
-  for (int i = 0; i < 3; ++i) agg.commit_flush();  // version = 3
-
-  EXPECT_EQ(agg.weight_scale(3), 1.0);  // fresh: exact identity
+  using async::staleness_weight;
+  EXPECT_EQ(staleness_weight(0, 0.5), 1.0);  // fresh: exact identity
   // tau=1: 1/(1+1)^0.5 = 1/sqrt(2); tau=3: 1/2.
-  EXPECT_DOUBLE_EQ(agg.weight_scale(2), 1.0 / std::sqrt(2.0));
-  EXPECT_DOUBLE_EQ(agg.weight_scale(0), 0.5);
+  EXPECT_DOUBLE_EQ(staleness_weight(1, 0.5), 1.0 / std::sqrt(2.0));
+  EXPECT_DOUBLE_EQ(staleness_weight(3, 0.5), 0.5);
 
   // alpha=0 disables the discount entirely.
-  AsyncAggregator flat(4, 0.0);
-  flat.commit_flush();
-  flat.commit_flush();
-  EXPECT_EQ(flat.weight_scale(0), 1.0);
+  EXPECT_EQ(staleness_weight(2, 0.0), 1.0);
 
   // alpha=1 reproduces FedAsync's polynomial-1 discount: 1/(1+tau).
-  AsyncAggregator linear(4, 1.0);
-  for (int i = 0; i < 4; ++i) linear.commit_flush();
-  EXPECT_DOUBLE_EQ(linear.weight_scale(1), 1.0 / 4.0);
+  EXPECT_DOUBLE_EQ(staleness_weight(3, 1.0), 1.0 / 4.0);
 }
 
 TEST(AsyncAggregatorTest, MaxStalenessCutoff) {
-  AsyncAggregator agg(2, 0.5, /*max_staleness=*/2);
-  for (int i = 0; i < 4; ++i) agg.commit_flush();  // version = 4
-  EXPECT_FALSE(agg.too_stale(4));
-  EXPECT_FALSE(agg.too_stale(2));  // tau = 2 == cap: still admitted
-  EXPECT_TRUE(agg.too_stale(1));   // tau = 3 > cap
+  using async::too_stale;
+  EXPECT_FALSE(too_stale(0, 2));
+  EXPECT_FALSE(too_stale(2, 2));  // tau = 2 == cap: still admitted
+  EXPECT_TRUE(too_stale(3, 2));   // tau = 3 > cap
   // Cap 0 means "no cutoff", not "discard everything".
-  AsyncAggregator uncapped(2, 0.5, 0);
-  for (int i = 0; i < 10; ++i) uncapped.commit_flush();
-  EXPECT_FALSE(uncapped.too_stale(0));
+  EXPECT_FALSE(too_stale(10, 0));
 }
 
 TEST(ClientClockTest, ComputeChargedOncePerDispatch) {

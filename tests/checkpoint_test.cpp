@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "arch/build.hpp"
 #include "arch/zoo.hpp"
@@ -171,6 +174,133 @@ TEST(Checkpoint, PreservesShapesExactly) {
   EXPECT_EQ(loaded.at("a").shape(), (Shape{2, 3, 4, 5}));
   EXPECT_EQ(loaded.at("b").shape(), (Shape{7}));
   EXPECT_EQ(loaded.at("c.long.dotted.name").shape(), (Shape{1, 1}));
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotStream, and sizes no file can hold
+// ---------------------------------------------------------------------------
+
+/// Writes `magic` + `body` + the CRC-32 of `body` to `path`, as a writer
+/// would, so only the structure can be wrong.
+void write_sealed(const std::string& path, const std::string& magic, const std::string& body) {
+  const std::uint32_t crc = crc32(body.data(), body.size());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << magic << body;
+  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+void put_u64(std::string& body, std::uint64_t v) {
+  body.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// One parameter entry named "w" of shape {`numel`} and no data.
+std::string tensor_without_data(std::uint64_t numel) {
+  std::string body;
+  put_u64(body, 1);  // one tensor
+  put_u64(body, 1);  // name length
+  body += 'w';
+  put_u64(body, 1);  // rank
+  put_u64(body, numel);
+  return body;
+}
+
+/// Expects `load` to throw std::runtime_error naming `path` and `field`.
+template <class F>
+void expect_refused(F&& load, const std::string& path, const std::string& field) {
+  try {
+    load();
+    ADD_FAILURE() << "accepted a size the file cannot hold";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(field), std::string::npos) << msg;
+    EXPECT_NE(msg.find("too large"), std::string::npos) << msg;
+  }
+}
+
+TEST(SnapshotStream, SavesAndResumesEveryPrimitiveThroughOneFunction) {
+  Rng rng(4);
+  struct State {
+    std::uint64_t n = 0;
+    double x = 0.0;
+    bool on = false;
+    std::string name;
+    ParamSet params;
+    std::vector<double> curve;
+    std::map<std::string, double> levels;
+  };
+  const auto section = [](SnapshotStream& s, State& st) {
+    s.u64(st.n);
+    s.f64(st.x);
+    s.flag(st.on);
+    s.str(st.name);
+    s.params(st.params);
+    s.items(st.curve, sizeof(double), "curve point", [&](double& v) { s.f64(v); });
+    s.entries(st.levels, 2 * sizeof(double), "level", [&](std::string& k, double& v) {
+      s.str(k);
+      s.f64(v);
+    });
+    s.finish();
+  };
+  State saved{7, -0.25, true, "afl", {}, {0.5, 0.75}, {{"L1", 0.5}, {"M1", 0.25}}};
+  saved.params.emplace("w", Tensor::randn({3, 2}, rng));
+  const std::string path = temp_path("stream");
+  {
+    SnapshotStream s(path, SnapshotStream::Mode::kSave);
+    section(s, saved);
+  }
+  State resumed;
+  SnapshotStream s(path, SnapshotStream::Mode::kResume);
+  section(s, resumed);
+  EXPECT_EQ(resumed.n, saved.n);
+  EXPECT_EQ(resumed.x, saved.x);
+  EXPECT_EQ(resumed.on, saved.on);
+  EXPECT_EQ(resumed.name, saved.name);
+  ASSERT_TRUE(same_structure(resumed.params, saved.params));
+  EXPECT_EQ(max_abs_diff(resumed.params, saved.params), 0.0);
+  EXPECT_EQ(resumed.curve, saved.curve);
+  EXPECT_EQ(resumed.levels, saved.levels);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotStream, CountLargerThanTheBytesLeftIsRefused) {
+  // 2^62 items of 40 bytes each: a reader that sized a container from the
+  // count would ask for 2^65 bytes before noticing the file ends.
+  std::string body;
+  put_u64(body, std::uint64_t{1} << 62);
+  const std::string path = temp_path("snap_count");
+  write_sealed(path, "AFLSNAP1", body);
+  SnapshotStream s(path, SnapshotStream::Mode::kResume);
+  std::uint64_t n = 0;
+  expect_refused([&] { s.count(n, 40, "curve point"); }, path, "curve point");
+  EXPECT_EQ(n, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotStream, TensorLargerThanTheBytesLeftIsRefused) {
+  // A 2^24-float tensor (64 MiB) claimed by a file with no data after it.
+  const std::string path = temp_path("snap_tensor");
+  write_sealed(path, "AFLSNAP1", tensor_without_data(std::uint64_t{1} << 24));
+  SnapshotStream s(path, SnapshotStream::Mode::kResume);
+  ParamSet p;
+  expect_refused([&] { s.params(p); }, path, "\"w\"");
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, CountLargerThanTheBytesLeftIsRefused) {
+  std::string body;
+  put_u64(body, std::uint64_t{1} << 62);
+  const std::string path = temp_path("ckpt_count");
+  write_sealed(path, "AFLCKPT2", body);
+  expect_refused([&] { load_checkpoint(path); }, path, "parameter count");
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TensorLargerThanTheBytesLeftIsRefused) {
+  const std::string path = temp_path("ckpt_tensor");
+  write_sealed(path, "AFLCKPT2", tensor_without_data(std::uint64_t{1} << 24));
+  expect_refused([&] { load_checkpoint(path); }, path, "\"w\"");
   std::remove(path.c_str());
 }
 

@@ -174,40 +174,41 @@ TEST(Compressor, DepartedClientDropsResiduals) {
   EXPECT_EQ(c2.residuals().num_clients(), 1u);
 }
 
+/// Saves `c`'s residuals to `path` and returns the file's bytes.
+std::string snapshot_bytes(Compressor& c, const std::string& path,
+                           const std::vector<ParamSet*>& globals) {
+  {
+    SnapshotStream s(path, SnapshotStream::Mode::kSave);
+    c.snapshot(s, globals);
+    s.finish();
+  }
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+}
+
+/// Resumes `c`'s residuals from `path`, which must hold nothing else.
+void resume(Compressor& c, const std::string& path, const std::vector<ParamSet*>& globals) {
+  SnapshotStream s(path, SnapshotStream::Mode::kResume);
+  c.snapshot(s, globals);
+  s.finish();
+}
+
 TEST(Compressor, SnapshotRoundTripsAndIsCanonical) {
   Compressor c(sparse_transport(), CompressConfig{});
-  const ParamSet reference = random_params(13);
+  ParamSet reference = random_params(13);
   for (std::size_t client : {std::size_t{5}, std::size_t{1}, std::size_t{9}}) {
     ParamSet p = random_params(20 + client);
     c.encode_update(client, p, reference);
   }
   const std::string path_a = ::testing::TempDir() + "compress_a.snap";
   const std::string path_b = ::testing::TempDir() + "compress_b.snap";
-  {
-    SnapshotWriter w(path_a);
-    c.snapshot(w);
-    w.finish();
-  }
-  {
-    SnapshotWriter w(path_b);
-    c.snapshot(w);
-    w.finish();
-  }
   // Canonical: two snapshots of identical logical state are byte-identical.
-  std::ifstream fa(path_a, std::ios::binary), fb(path_b, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(fa)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(fb)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
+  const std::string bytes_a = snapshot_bytes(c, path_a, {&reference});
+  EXPECT_EQ(bytes_a, snapshot_bytes(c, path_b, {&reference}));
   ASSERT_FALSE(bytes_a.empty());
 
   Compressor restored(sparse_transport(), CompressConfig{});
-  {
-    SnapshotReader r(path_a);
-    restored.restore(r);
-    r.expect_end();
-  }
+  resume(restored, path_a, {&reference});
   EXPECT_EQ(restored.residuals().num_clients(), c.residuals().num_clients());
   EXPECT_EQ(restored.residuals().num_coords(), c.residuals().num_coords());
   for (const auto& [name, t] : reference) {
@@ -247,63 +248,84 @@ TEST(ResidualStore, ShapeChangeResetsRow) {
   EXPECT_EQ(c.residuals().find(0, "w")->dims, large_dims);
 }
 
-// Writes a residual section holding one row of client 3, tensor "fc.w", as
-// the snapshot writer would (so its CRC is valid), with the given shape,
-// entry count and entry indices.
-std::string one_row_snapshot(const std::vector<std::uint64_t>& dims, std::uint64_t nnz,
-                             const std::vector<std::uint64_t>& indices) {
+// Writes a residual section holding one row of client 3, tensor `name`, as a
+// saved snapshot would (so its CRC is valid), with the given shape, entry
+// count and entry indices.
+std::string one_row_snapshot(const std::string& name, const std::vector<std::uint64_t>& dims,
+                             std::uint64_t nnz, const std::vector<std::uint64_t>& indices) {
   const std::string path = ::testing::TempDir() + "compress_one_row.snap";
-  SnapshotWriter w(path);
-  w.u64(1);  // clients
-  w.u64(3);  // client id
-  w.u64(1);  // tensors
-  w.str("fc.w");
-  w.u64(dims.size());
-  for (const std::uint64_t d : dims) w.u64(d);
-  w.u64(nnz);
-  for (const std::uint64_t idx : indices) {
-    w.u64(idx);
-    w.f64(0.5);
+  SnapshotStream s(path, SnapshotStream::Mode::kSave);
+  std::uint64_t clients = 1, client = 3, tensors = 1, rank = dims.size();
+  s.u64(clients);
+  s.u64(client);
+  s.u64(tensors);
+  std::string tensor = name;
+  s.str(tensor);
+  s.u64(rank);
+  for (std::uint64_t d : dims) s.u64(d);
+  s.u64(nnz);
+  for (std::uint64_t idx : indices) {
+    double v = 0.5;
+    s.u64(idx);
+    s.f64(v);
   }
-  w.finish();
+  s.finish();
   return path;
+}
+
+struct RowCase {
+  const char* what;
+  const char* name;
+  std::vector<std::uint64_t> dims;
+  std::uint64_t nnz;
+  std::vector<std::uint64_t> indices;
+  const char* value;  // the offending value the message must name
+};
+
+// Resumes each case's one-row snapshot over globals holding "fc.w" {10, 6}
+// and expects a refusal naming the client, the tensor and the value.
+void expect_rows_rejected(const std::vector<RowCase>& cases) {
+  ParamSet global = random_params(14);
+  for (const RowCase& tc : cases) {
+    SCOPED_TRACE(tc.what);
+    const std::string path = one_row_snapshot(tc.name, tc.dims, tc.nnz, tc.indices);
+    Compressor restored(sparse_transport(), CompressConfig{});
+    try {
+      resume(restored, path, {&global});
+      ADD_FAILURE() << "restore accepted the row";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("client 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("\"") + tc.name + "\""), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string(" ") + tc.value), std::string::npos) << msg;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ResidualStore, RestoreRejectsRowsItCannotHold) {
   // A restored row is indexed by the next encode_update, so restore must
   // refuse any row whose shape, count or indices it cannot hold.
-  struct Case {
-    const char* what;
-    std::vector<std::uint64_t> dims;
-    std::uint64_t nnz;
-    std::vector<std::uint64_t> indices;
-    const char* value;  // the offending value the message must name
-  };
-  const Case cases[] = {
-      {"index past the row", {4}, 1, {1000000}, "1000000"},
-      {"repeated index", {4}, 2, {1, 1}, "1"},
-      {"descending index", {2, 2}, 2, {3, 2}, "2"},
-      {"more entries than elements", {2, 2}, 5, {0, 1, 2, 3, 4}, "5"},
-      {"rank above the frame cap", {1, 1, 1, 1, 1, 1, 1, 1, 1}, 0, {}, "9"},
-      {"more elements than the frame cap", {65536, 65536, 2}, 0, {}, "2"},
-      {"product that wraps a u64", {4294967296, 4294967296}, 0, {}, "4294967296"},
-  };
-  for (const Case& tc : cases) {
-    SCOPED_TRACE(tc.what);
-    const std::string path = one_row_snapshot(tc.dims, tc.nnz, tc.indices);
-    Compressor restored(sparse_transport(), CompressConfig{});
-    SnapshotReader r(path);
-    try {
-      restored.restore(r);
-      ADD_FAILURE() << "restore accepted the row";
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("client 3"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("\"fc.w\""), std::string::npos) << msg;
-      EXPECT_NE(msg.find(std::string(" ") + tc.value), std::string::npos) << msg;
-    }
-    std::remove(path.c_str());
-  }
+  expect_rows_rejected({
+      {"index past the row", "fc.w", {2, 2}, 1, {1000000}, "1000000"},
+      {"repeated index", "fc.w", {2, 2}, 2, {1, 1}, "1"},
+      {"descending index", "fc.w", {2, 2}, 2, {3, 2}, "2"},
+      {"more entries than elements", "fc.w", {2, 2}, 5, {0, 1, 2, 3, 4}, "5"},
+      {"rank above the global's", "fc.w", {1, 1, 1, 1, 1, 1, 1, 1, 1}, 0, {}, "9"},
+      {"product that wraps a u64", "fc.w", {4294967296, 4294967296}, 0, {}, "4294967296"},
+  });
+}
+
+TEST(ResidualStore, RestoreRejectsRowsNoGlobalCanHold) {
+  // A row's dense storage is sized from its shape, not from its entries, so
+  // only the globals bound it: a row of a tensor no global holds, or wider
+  // than that tensor, is refused before it is allocated.
+  expect_rows_rejected({
+      {"tensor no global holds", "head.w", {2, 2}, 1, {0}, "global"},
+      {"rank other than the global's", "fc.w", {60}, 1, {0}, "1"},
+      {"dimension past the global's", "fc.w", {1, std::uint64_t{1} << 24}, 1, {0},
+       "16777216"},
+  });
 }
 
 // Two geometries per tensor name, with values from a small alphabet so exact
@@ -324,16 +346,6 @@ ParamSet alphabet_params(Rng& rng, bool large) {
   return ps;
 }
 
-std::string snapshot_bytes(const Compressor& c, const std::string& path) {
-  {
-    SnapshotWriter w(path);
-    c.snapshot(w);
-    w.finish();
-  }
-  std::ifstream f(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-}
-
 class ResidualBookkeeping : public ::testing::TestWithParam<int> {};
 
 // A seeded mix of encodes, reclaims (including one that cancels a row to
@@ -349,6 +361,8 @@ TEST_P(ResidualBookkeeping, CountsAndSnapshotsTrackEveryStep) {
   cfg.residual_decay = GetParam() % 2 == 0 ? 0.75 : 1.0;
   cfg.drop_departed = GetParam() < 2;
   Compressor c(sparse_transport(), cfg);
+  Rng shape_rng(1);
+  ParamSet global = alphabet_params(shape_rng, /*large=*/true);  // bounds every row
   std::vector<ParamSet> shipped(kClients);
   // ctest runs each seed as its own process, so each gets its own files.
   const std::string stem =
@@ -404,15 +418,11 @@ TEST_P(ResidualBookkeeping, CountsAndSnapshotsTrackEveryStep) {
     }
     EXPECT_EQ(c.residuals().num_coords(), total);
 
-    const std::string bytes = snapshot_bytes(c, path_a);
+    const std::string bytes = snapshot_bytes(c, path_a, {&global});
     Compressor restored(sparse_transport(), cfg);
-    {
-      SnapshotReader r(path_a);
-      restored.restore(r);
-      r.expect_end();
-    }
+    resume(restored, path_a, {&global});
     EXPECT_EQ(restored.residuals().num_coords(), total);
-    EXPECT_EQ(snapshot_bytes(restored, path_b), bytes);
+    EXPECT_EQ(snapshot_bytes(restored, path_b, {&global}), bytes);
   }
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());

@@ -315,6 +315,25 @@ TEST(Codec, SparseCorruptionAndTruncationThrow) {
       net::CodecError);
 }
 
+TEST(Codec, SparseCountThePayloadCannotHoldIsRefusedBeforeTheTensor) {
+  // A top-k1 payload for 2^24 elements must carry 167773 entries of at least
+  // five bytes each. One that holds only that count is refused on the count,
+  // before the decoder allocates the 64 MiB tensor.
+  const Shape shape{std::size_t{1} << 24};
+  std::uint64_t k = net::codec_kept_coords(shape[0], Codec::kTopK1);
+  std::vector<std::uint8_t> payload;
+  for (; k >= 0x80; k >>= 7) payload.push_back(static_cast<std::uint8_t>(k | 0x80));
+  payload.push_back(static_cast<std::uint8_t>(k));
+  try {
+    net::decode_tensor(payload.data(), payload.size(), shape, Codec::kTopK1, "fc.w");
+    FAIL() << "expected CodecError";
+  } catch (const net::CodecError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot hold 167773 coords"), std::string::npos) << what;
+    EXPECT_NE(what.find("fc.w"), std::string::npos) << what;
+  }
+}
+
 TEST(Codec, ErrorsQuoteTensorNameAndShape) {
   Rng rng(56);
   Tensor t = Tensor::randn({3, 4}, rng);

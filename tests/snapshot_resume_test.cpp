@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "core/experiment.hpp"
 #include "engine/dispatch.hpp"
+#include "engine/snapshot.hpp"
 #include "pop/config.hpp"
 #include "util/crc32.hpp"
 
@@ -413,6 +415,170 @@ TEST(SnapshotResume, AsyncEventThatCannotReplayIsRejected) {
     EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env), std::runtime_error);
   }
   std::remove(path.c_str());
+}
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+/// Writes `bytes` to `path` with the u64 at `at` replaced by `value` and the
+/// CRC-32 trailer resealed, so only the structure is wrong.
+void rewrite_sealed(const std::string& path, std::string bytes, std::size_t at,
+                    std::uint64_t value) {
+  std::memcpy(&bytes[at], &value, sizeof(value));
+  const std::uint32_t crc = crc32(bytes.data() + 8, bytes.size() - 8 - sizeof(crc));
+  std::memcpy(&bytes[bytes.size() - sizeof(crc)], &crc, sizeof(crc));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(SnapshotResume, CurveCountTheFileCannotHoldIsRejected) {
+  // The result section's curve count follows the header (format, algorithm,
+  // seed, rounds, clients_per_round, round) and the result's algorithm. A
+  // count of 2^62 points must be refused, not allocated.
+  ExperimentEnv env = small_env();
+  const std::string path = snap_path("curve_count");
+  env.run.snapshot_path = path;
+  env.run.snapshot_every = std::size_t{1};
+  env.run.stop_after_round = std::size_t{3};
+  const RunResult partial = run_algorithm(Algorithm::kAdaptiveFl, env);
+  const std::string written = read_bytes(path);
+  const std::string& algo = partial.algorithm;
+  const std::size_t at = 8 + 8 + std::strlen(engine::kSyncSnapshotFormat) + 8 + algo.size() +
+                         4 * 8 + 8 + algo.size();
+  ASSERT_EQ(u64_at(written, at), partial.curve.size());
+
+  rewrite_sealed(path, written, at, std::uint64_t{1} << 62);
+  env.run.snapshot_path = std::string{};
+  env.run.stop_after_round = std::size_t{0};
+  env.run.resume_from = path;
+  EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFl, env), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, AsyncEventCountTheFileCannotHoldIsRejected) {
+  // The file ends with u64 event count, the events (40 bytes each: f64 time,
+  // u64 dispatch, client, seq, kind), u64 next_seq and the u32 CRC-32. The
+  // count is found as the one that frames events with kinds in range and
+  // seqs below next_seq.
+  ExperimentEnv env = small_env();
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  acfg.buffer_size = 3;
+  acfg.concurrency = 5;
+  env.run.async = acfg;
+  env.run.net->round_deadline_s = 0.0;
+  const std::string path = snap_path("event_count");
+  env.run.snapshot_path = path;
+  env.run.snapshot_every = std::size_t{1};
+  env.run.stop_after_round = std::size_t{3};
+  run_algorithm(Algorithm::kAdaptiveFlAsync, env);
+  const std::string written = read_bytes(path);
+  const std::uint64_t next_seq = u64_at(written, written.size() - 12);
+  std::size_t at = 0;
+  for (std::uint64_t n = 1; n <= acfg.concurrency; ++n) {
+    const std::size_t count_at = written.size() - 12 - 40 * n - 8;
+    bool framed = u64_at(written, count_at) == n;
+    for (std::uint64_t i = 0; framed && i < n; ++i) {
+      const std::size_t event = count_at + 8 + 40 * i;
+      framed = u64_at(written, event + 32) <= 2 && u64_at(written, event + 24) < next_seq;
+    }
+    if (!framed) continue;
+    ASSERT_EQ(at, 0u) << "two event counts frame the tail";
+    at = count_at;
+  }
+  ASSERT_NE(at, 0u);
+
+  rewrite_sealed(path, written, at, std::uint64_t{1} << 62);
+  env.run.snapshot_path = std::string{};
+  env.run.stop_after_round = std::size_t{0};
+  env.run.resume_from = path;
+  EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+using Runner = std::function<RunResult(const ExperimentEnv&)>;
+
+Runner runner(Algorithm algo) {
+  return [algo](const ExperimentEnv& env) { return run_algorithm(algo, env); };
+}
+
+/// With a snapshot every round, a run stopped after `cut` and resumed must
+/// write, at the next snapshot point `next`, the same bytes as the
+/// uninterrupted run: the restored globals, RL tables, residuals and
+/// in-flight dispatches, not only the RunResult, continue exactly.
+void check_continues(ExperimentEnv env, const std::string& tag, std::size_t cut,
+                     std::size_t next, const Runner& run) {
+  SCOPED_TRACE(tag);
+  const std::string whole = snap_path(tag + "_whole");
+  const std::string first = snap_path(tag + "_first");
+  const std::string second = snap_path(tag + "_second");
+  env.run.snapshot_every = std::size_t{1};
+  env.run.snapshot_path = whole;
+  env.run.stop_after_round = next;
+  run(env);
+  env.run.snapshot_path = first;
+  env.run.stop_after_round = cut;
+  run(env);
+  env.run.snapshot_path = second;
+  env.run.stop_after_round = next;
+  env.run.resume_from = first;
+  run(env);
+  const std::string expected = read_bytes(whole);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_TRUE(read_bytes(second) == expected) << "the resumed run wrote other bytes";
+  for (const std::string& path : {whole, first, second}) std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, ResumedRoundEngineRunContinuesToTheSameBytes) {
+  for (const bool topk : {false, true}) {
+    const std::string codec = topk ? "_topk" : "";
+    ExperimentEnv env = small_env();
+    if (topk) env.run.net->uplink_codec = net::Codec::kTopK10;
+    check_continues(env, "flat" + codec, 3, 4, runner(Algorithm::kAdaptiveFl));
+    for (const std::size_t sync_every : {std::size_t{1}, std::size_t{3}}) {
+      hier::HierConfig hcfg;
+      hcfg.enabled = true;
+      hcfg.shards = 3;
+      hcfg.sync_every = sync_every;
+      env.run.hier = hcfg;
+      // Sharded snapshots are cut only at root syncs.
+      check_continues(env, "hier_sync" + std::to_string(sync_every) + codec, 3,
+                      3 + sync_every, runner(Algorithm::kAdaptiveFl));
+    }
+  }
+}
+
+TEST(SnapshotResume, ResumedAsyncRunContinuesToTheSameBytes) {
+  for (const bool topk : {false, true}) {
+    ExperimentEnv env = small_env();
+    if (topk) env.run.net->uplink_codec = net::Codec::kTopK10;
+    async::AsyncConfig acfg;
+    acfg.enabled = true;
+    acfg.buffer_size = 3;
+    acfg.concurrency = 5;
+    acfg.staleness_alpha = 0.3;
+    env.run.async = acfg;
+    env.run.net->round_deadline_s = 0.0;
+    check_continues(env, topk ? "async_topk" : "async", 3, 4,
+                    runner(Algorithm::kAdaptiveFlAsync));
+  }
+}
+
+TEST(SnapshotResume, ResumedBaselineRunContinuesToTheSameBytes) {
+  const std::pair<Algorithm, const char*> algos[] = {
+      {Algorithm::kAllLarge, "all_large"},
+      {Algorithm::kDecoupled, "decoupled"},
+      {Algorithm::kHeteroFl, "heterofl"},
+      {Algorithm::kScaleFl, "scalefl"},
+  };
+  for (const auto& [algo, tag] : algos) {
+    check_continues(small_env(), std::string("bytes_") + tag, 3, 4, runner(algo));
+  }
+  check_continues(small_env(), "bytes_fedrolex", 3, 4, [](const ExperimentEnv& env) {
+    return RollingFl(env.spec, env.pool_config, env.data, env.devices, env.run).run();
+  });
 }
 
 TEST(SnapshotResume, DispatchFailureDecoderRejectsUnknownValues) {
